@@ -54,7 +54,7 @@ func (b *bench) layers(ctx context.Context, t *traceable) error {
 		var buf bytes.Buffer
 		id := b.rec.begin("snapshot.SaveSnapshot", -1, int64(r))
 		err = single.SaveSnapshot(ctx, &buf)
-		b.rec.end(id, counts{"bytes", int64(buf.Len())})
+		b.rec.end(id, tally{"bytes", int64(buf.Len())})
 		if err != nil {
 			single.Close()
 			closeEach(parts)
@@ -150,7 +150,7 @@ func (b *bench) probeRequests(ctx context.Context, p *pool, one, cluster *topolo
 		if err != nil {
 			return err
 		}
-		mode := counts{"mode", int64(modeOf(slot))}
+		mode := tally{"mode", int64(modeOf(slot))}
 		parent := rec.begin("probe.request", -1, req64)
 
 		id := rec.begin("search.Service.Search", parent, req64)
@@ -161,7 +161,7 @@ func (b *bench) probeRequests(ctx context.Context, p *pool, one, cluster *topolo
 		}
 		id = rec.begin("server.encode", parent, req64)
 		enc, err := encodeResponse(single.Catalog(), res)
-		rec.end(id, counts{"bytes", int64(len(enc))})
+		rec.end(id, tally{"bytes", int64(len(enc))})
 		b.check.searchResponse(http.StatusOK, enc, p.expect[slot], err)
 
 		id = rec.begin("server.http", parent, req64)
@@ -172,7 +172,7 @@ func (b *bench) probeRequests(ctx context.Context, p *pool, one, cluster *topolo
 		groups := make([][]webtable.PartialGroup, shards)
 		stats := make([]webtable.SearchExecStats, shards)
 		for i, svc := range cluster.svcs {
-			shard := counts{"shard", int64(i)}
+			shard := tally{"shard", int64(i)}
 			id := rec.begin("dist.SearchPartial", parent, req64)
 			g, st, err := svc.SearchPartial(ctx, req, cluster.asns[i].TableOffset)
 			rec.end(id, shard, mode)
@@ -185,7 +185,7 @@ func (b *bench) probeRequests(ctx context.Context, p *pool, one, cluster *topolo
 			}
 			id = rec.begin("dist.EncodePartial", parent, req64)
 			wire := dist.EncodePartial(&dist.Partial{Generation: gen, Shard: i, Shards: shards, Stats: *st, Groups: g})
-			rec.end(id, shard, counts{"bytes", int64(len(wire))})
+			rec.end(id, shard, tally{"bytes", int64(len(wire))})
 			id = rec.begin("dist.DecodePartial", parent, req64)
 			back, err := dist.DecodePartial(wire)
 			rec.end(id, shard)
@@ -213,12 +213,12 @@ func (b *bench) probeRequests(ctx context.Context, p *pool, one, cluster *topolo
 }
 
 // statCounts are the execution counts a search returned.
-func statCounts(res *webtable.SearchResult) []counts {
+func statCounts(res *webtable.SearchResult) []tally {
 	if res == nil || res.Stats == nil {
 		return nil
 	}
 	st := res.Stats
-	return []counts{
+	return []tally{
 		{"rows", st.RowsScanned},
 		{"pairs", st.CandidatePairs},
 		{"pairs_matched", st.PairsMatched},
@@ -258,7 +258,7 @@ func (b *bench) probeSearchCalls(ctx context.Context, p *pool, svc *webtable.Ser
 		for k := 0; k < probeCalls; k++ {
 			id := rec.begin("search.Service.Search", -1, int64(k))
 			res, err := svc.Search(ctx, reqs[k%len(reqs)])
-			rec.end(id, append(statCounts(res), counts{"mode", int64(m)})...)
+			rec.end(id, append(statCounts(res), tally{"mode", int64(m)})...)
 			if err != nil {
 				return err
 			}
@@ -291,7 +291,7 @@ func (b *bench) probeIngest(ctx context.Context, w *worldgen.World, svc *webtabl
 		}
 		id = rec.begin("segment.AddTables", -1, int64(j))
 		_, err = svc.AddTables(ctx, tabs)
-		rec.end(id, counts{"tables", int64(len(tabs))})
+		rec.end(id, tally{"tables", int64(len(tabs))})
 		if err != nil {
 			return err
 		}
@@ -300,7 +300,7 @@ func (b *bench) probeIngest(ctx context.Context, w *worldgen.World, svc *webtabl
 }
 
 // diagCounts sums the annotation diagnostics of one batch.
-func diagCounts(anns []*webtable.Annotation) []counts {
+func diagCounts(anns []*webtable.Annotation) []tally {
 	var cells, cand, graph, bp, iters, unconverged, factors int64
 	for _, a := range anns {
 		if a == nil {
@@ -318,7 +318,7 @@ func diagCounts(anns []*webtable.Annotation) []counts {
 			unconverged++
 		}
 	}
-	return []counts{
+	return []tally{
 		{"tables", int64(len(anns))}, {"cells", cells},
 		{"candidates_ns", cand}, {"graph_ns", graph}, {"bp_ns", bp},
 		{"bp_iters", iters}, {"bp_unconverged", unconverged}, {"factors", factors},

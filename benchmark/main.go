@@ -75,7 +75,7 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 // enough samples for a p99.
 const minSeconds = 10
 
-// workloads maps each --workload name to its driver.
+// workloads maps each --workload name to the function that runs it.
 var workloads = map[string]func(context.Context, *bench) error{
 	"search": func(ctx context.Context, b *bench) error { return runSearch(ctx, b, false) },
 	"routed": func(ctx context.Context, b *bench) error { return runSearch(ctx, b, true) },
@@ -154,7 +154,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // result prints the human-readable metric lines and returns the JSON
-// result line: exactly the keys the benchmark contract names.
+// result line, with exactly the keys correct, attempted, failed and
+// metrics.
 func (b *bench) result() ([]byte, error) {
 	type value struct {
 		Value float64 `json:"value"`

@@ -87,7 +87,7 @@ func loadShards(ctx context.Context, rec *recorder, rep int64, snap []byte, shar
 	for i := 0; i < shards; i++ {
 		id := rec.begin("snapshot.LoadServiceShard", -1, rep)
 		svc, asn, err := webtable.LoadServiceShard(ctx, bytes.NewReader(snap), i, shards)
-		rec.end(id, counts{"shard", int64(i)})
+		rec.end(id, tally{"shard", int64(i)})
 		if err != nil {
 			closeEach(svcs)
 			return nil, nil, err

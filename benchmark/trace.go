@@ -18,18 +18,18 @@ import (
 // that caused it (-1 for none) and the request it served (-1 for none),
 // plus the counts the call returned.
 type span struct {
-	ID     int      `json:"id"`
-	Parent int      `json:"parent"`
-	Name   string   `json:"name"`
-	Req    int64    `json:"req"`
-	Start  int64    `json:"start_ns"`
-	End    int64    `json:"end_ns"`
-	Self   int64    `json:"self_ns"`
-	Counts []counts `json:"counts,omitempty"`
+	ID     int     `json:"id"`
+	Parent int     `json:"parent"`
+	Name   string  `json:"name"`
+	Req    int64   `json:"req"`
+	Start  int64   `json:"start_ns"`
+	End    int64   `json:"end_ns"`
+	Self   int64   `json:"self_ns"`
+	Counts []tally `json:"counts,omitempty"`
 }
 
-// counts is one named count attached to a span.
-type counts struct {
+// tally is one named count attached to a span.
+type tally struct {
 	Name string `json:"name"`
 	N    int64  `json:"n"`
 }
@@ -69,7 +69,7 @@ func (r *recorder) begin(name string, parent int, req int64) int {
 }
 
 // end closes span id with the counts its call returned.
-func (r *recorder) end(id int, cs ...counts) {
+func (r *recorder) end(id int, cs ...tally) {
 	if r == nil || id < 0 {
 		return
 	}

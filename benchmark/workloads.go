@@ -189,7 +189,7 @@ func (s *searcher) send(ctx context.Context, rec *recorder, c int, i int64, pare
 	slot := s.stream.slot(i)
 	id := rec.begin("http.search", parent, i)
 	status, body, err := s.clients[c].do(ctx, http.MethodPost, "/v1/search", s.pool.bodies[slot])
-	rec.end(id, counts{"bytes", int64(len(body))})
+	rec.end(id, tally{"bytes", int64(len(body))})
 	s.check.searchResponse(status, body, s.pool.expect[slot], err)
 }
 
@@ -200,7 +200,7 @@ func (s *searcher) closed(ctx context.Context, rec *recorder, dur time.Duration)
 	done := closedLoop(ctx, len(s.clients), dur, s.next, func(c int, i int64) {
 		s.send(ctx, rec, c, i, phase)
 	})
-	rec.end(phase, counts{"requests", int64(len(done))})
+	rec.end(phase, tally{"requests", int64(len(done))})
 	return windowRate(done, dur, qpsWindow)
 }
 
@@ -213,7 +213,7 @@ func (s *searcher) open(ctx context.Context, rec *recorder, dur time.Duration, r
 	lat, late = openLoop(ctx, len(s.clients), n, rate, nil, func(c, k int) {
 		s.send(ctx, rec, c, first+int64(k), phase)
 	})
-	rec.end(phase, counts{"requests", int64(n)})
+	rec.end(phase, tally{"requests", int64(n)})
 	return lat, late
 }
 
@@ -422,7 +422,7 @@ func runIngest(ctx context.Context, b *bench) error {
 		lat, late = openLoop(ctx, 1, maxReads, ingestRate, writing, func(_, k int) {
 			b.readDuringIngest(ctx, reader, base[st.base(int64(k))], k, phase)
 		})
-		b.rec.end(phase, counts{"requests", int64(len(lat))})
+		b.rec.end(phase, tally{"requests", int64(len(lat))})
 	}()
 	live, batchMS, ingestDur := b.ingest(ctx, d, posts, deletes)
 	close(writing)
@@ -517,7 +517,7 @@ func (b *bench) ingest(ctx context.Context, d *deployment, posts [][]byte, delet
 		t0 := time.Now()
 		id := b.rec.begin("http.add_tables", phase, int64(j))
 		status, raw, err := c.do(ctx, http.MethodPost, "/v1/tables", body)
-		b.rec.end(id, counts{"tables", ingestBatch})
+		b.rec.end(id, tally{"tables", ingestBatch})
 		batchMS = append(batchMS, millis(time.Since(t0)))
 		b.mutation(status, raw, err, ingestBatch, 0, live)
 		if j%3 == 2 {
@@ -549,7 +549,7 @@ func (b *bench) mutation(status int, raw []byte, err error, added, removed, live
 func (b *bench) readDuringIngest(ctx context.Context, c *client, body []byte, k, parent int) {
 	id := b.rec.begin("http.search", parent, int64(k))
 	status, raw, err := c.do(ctx, http.MethodPost, "/v1/search", body)
-	b.rec.end(id, counts{"bytes", int64(len(raw))})
+	b.rec.end(id, tally{"bytes", int64(len(raw))})
 	var sr server.SearchResponse
 	if err == nil && status == http.StatusOK {
 		err = json.Unmarshal(raw, &sr)
