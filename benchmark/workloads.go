@@ -295,8 +295,9 @@ func runSearch(ctx context.Context, b *bench, routed bool) error {
 	b.add("heap_mb", "MB", m.heap, "live heap after GC")
 	b.add("annot_acc", "ratio", acc, fmt.Sprintf("cell entities of %d corpus tables", len(d.corpus.Tables)))
 	b.add("map_typerel", "ratio", mapTR, fmt.Sprintf("%d TypeRel queries", len(qs)))
-	b.logf("stream: %d requests over %d distinct bodies (%d page-2 with a cursor), repeat share %.3f",
-		m.sent, len(p.bodies), p.cursors(), repeatShare(m.sent, st.slot))
+	pct, late := tail(m.late)
+	b.logf("stream: %d requests over %d distinct bodies (%d page-2 with a cursor), repeat share %.3f; open loop sent late by %.3f ms at p%g",
+		m.sent, len(p.bodies), p.cursors(), repeatShare(m.sent, st.slot), late, pct)
 	return nil
 }
 
@@ -492,8 +493,9 @@ func runIngest(ctx context.Context, b *bench) error {
 	b.add("heap_mb", "MB", m.heap, "live heap after GC")
 	b.add("annot_acc", "ratio", acc, fmt.Sprintf("cell entities of %d ingested tables", len(ingested)))
 	b.add("map_typerel", "ratio", mapTR, fmt.Sprintf("%d TypeRel queries over the final corpus", len(qs)))
-	b.logf("batch_p50_ms %.3f ms over %d batches; reads beside the writer: p50 %.3f ms over %d; final corpus %d tables, %d segments, %d tombstones",
-		median(batchMS), len(batchMS), median(lat), len(lat), stats.Tables, stats.Segments, stats.Tombstones)
+	pct, lateMS := tail(late)
+	b.logf("batch_p50_ms %.3f ms over %d batches; reads beside the writer: p50 %.3f ms over %d, sent late by %.3f ms at p%g; final corpus %d tables, %d segments, %d tombstones",
+		median(batchMS), len(batchMS), median(lat), len(lat), lateMS, pct, stats.Tables, stats.Segments, stats.Tombstones)
 	return nil
 }
 
