@@ -8,9 +8,9 @@
 set -euo pipefail
 here=$(cd "$(dirname "$0")" && pwd)
 out="$here/../.bench_build"
-mkdir -p "$out"
+mkdir -p "$out/tmp"
 out=$(cd "$out" && pwd)
-export GOCACHE="$out/gocache" GOPATH="$out/gopath" XDG_CONFIG_HOME="$out/config"
+export GOCACHE="$out/gocache" GOPATH="$out/gopath" GOTMPDIR="$out/tmp" XDG_CONFIG_HOME="$out/config"
 export GOPROXY=off GOTOOLCHAIN=local GOWORK=off GOFLAGS=
 go -C "$here" build -o "$out/wtbench" .
 cd "$here/.."
