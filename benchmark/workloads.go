@@ -348,17 +348,15 @@ func (b *bench) measureSearch(ctx context.Context, snap []byte, routed bool, p *
 			m.plain = append(m.plain, s.closed(ctx, nil, closedDur/2))
 			m.traced = append(m.traced, s.closed(ctx, b.rec, closedDur/2))
 		}
-		if openShare > 0 {
-			lat, late := s.open(ctx, b.rec, b.seconds(openShare)/instances, rate)
-			v, err := percentile(lat, 50)
-			if err != nil {
-				s.close()
-				top.stop()
-				return nil, err
-			}
-			p50 = append(p50, v)
-			m.lat, m.late = append(m.lat, lat...), append(m.late, late...)
+		lat, late := s.open(ctx, b.rec, b.seconds(openShare)/instances, rate)
+		v, err := percentile(lat, 50)
+		if err != nil {
+			s.close()
+			top.stop()
+			return nil, err
 		}
+		p50 = append(p50, v)
+		m.lat, m.late = append(m.lat, lat...), append(m.late, late...)
 		if r == instances-1 {
 			m.heap = heapMB()
 			for _, svc := range top.svcs {
