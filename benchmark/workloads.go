@@ -18,13 +18,14 @@ import (
 	"repro/internal/worldgen"
 )
 
-// Load-generator settings. The open-loop rates are fixed numbers, a
-// third to a half of the closed-loop throughput each topology reached
-// at the seed on a 2-vCPU host (the share moves with the host's speed);
-// they are not recomputed per run.
+// Load-generator settings. The open-loop rates are fixed numbers, not
+// recomputed per run: about a quarter of the closed-loop throughput each
+// topology reached at the seed on a 2-vCPU host in its slow periods (an
+// eighth in its fast ones). At half, queueing amplified the host's speed
+// drift into run-to-run p50 differences of 2x.
 const (
-	searchRate = 3000 // req/s, single node
-	routedRate = 1400 // req/s, 2 shards behind the router
+	searchRate = 1500 // req/s, single node
+	routedRate = 700  // req/s, 2 shards behind the router
 	// ingestRate is the rate of the reads beside the ingest writer, low
 	// enough that searches, which wait for worker slots the annotator
 	// holds, mostly keep up with the schedule; maxReads bounds them.
