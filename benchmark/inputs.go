@@ -19,9 +19,9 @@ const (
 	// searchTables is the corpus size of the search and routed
 	// workloads. Smaller corpora make HTTP handling, not search, the
 	// bulk of a request.
-	searchTables = 600
+	searchTables = 480
 	// ingestBaseTables is the corpus the ingest workload starts from.
-	ingestBaseTables = 100
+	ingestBaseTables = 60
 	// ingestBatch is the number of tables in one POST /v1/tables.
 	ingestBatch = 20
 	// queriesPerRelation is the SearchWorkload sample per relation.

@@ -457,7 +457,7 @@ func runIngest(ctx context.Context, b *bench) error {
 		b.check.searchResponse(status, body, p.expect[slot], err)
 	}
 	sweep.close()
-	m, err := b.measureSearch(ctx, final.Bytes(), false, p, st, 0.3, 0.2, searchRate)
+	m, err := b.measureSearch(ctx, final.Bytes(), false, p, st, 0.35, 0.35, searchRate)
 	if err != nil {
 		return err
 	}
