@@ -20,9 +20,9 @@ import (
 
 // Load-generator settings. The open-loop rates are fixed numbers, not
 // recomputed per run: about a quarter of the closed-loop throughput each
-// topology reached at the seed on a 2-vCPU host in its slow periods (an
-// eighth in its fast ones). At half, queueing amplified the host's speed
-// drift into run-to-run p50 differences of 2x.
+// topology reached at the seed on a 2-vCPU host in its slow periods (less
+// in its fast ones). At half, queueing amplified the host's speed drift
+// into run-to-run p50 differences of 2x.
 const (
 	searchRate = 1500 // req/s, single node
 	routedRate = 700  // req/s, 2 shards behind the router
