@@ -272,7 +272,9 @@ func runSearch(ctx context.Context, b *bench, routed bool) error {
 	if routed {
 		rate = routedRate
 	}
-	m, err := b.measureSearch(ctx, d.snap, routed, p, st, 0.5, 0.5, rate)
+	// The closed loop gets the larger share: its throughput moves with
+	// the host's speed more than the open loop's median does.
+	m, err := b.measureSearch(ctx, d.snap, routed, p, st, 0.6, 0.4, rate)
 	if err != nil {
 		return err
 	}
@@ -457,7 +459,7 @@ func runIngest(ctx context.Context, b *bench) error {
 		b.check.searchResponse(status, body, p.expect[slot], err)
 	}
 	sweep.close()
-	m, err := b.measureSearch(ctx, final.Bytes(), false, p, st, 0.35, 0.35, searchRate)
+	m, err := b.measureSearch(ctx, final.Bytes(), false, p, st, 0.4, 0.3, searchRate)
 	if err != nil {
 		return err
 	}
