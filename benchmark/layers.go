@@ -455,6 +455,7 @@ func (b *bench) report(t *traceable, snapBytes, tables int) error {
 	b.add("load.late_ms", "ms", lateMS, fmt.Sprintf("p%g of %d open-loop send delays", pct, len(t.late)))
 	b.add("load.repeat_share", "ratio", t.repeat, "requests whose body appeared earlier in the run")
 	plain, traced := median(t.phases.plain), median(t.phases.traced)
+	b.add("load.qps", "req/s", plain, fmt.Sprintf("closed loop, %d clients, median of the untraced slices", clients()))
 	b.add("trace.overhead_pct", "%", 100*(plain-traced)/plain,
 		fmt.Sprintf("closed-loop qps %.0f untraced, %.0f traced", plain, traced))
 	return nil
