@@ -10,6 +10,7 @@ import (
 
 	webtable "repro"
 	"repro/internal/dist"
+	"repro/internal/segment"
 	"repro/internal/server"
 	"repro/internal/worldgen"
 )
@@ -268,13 +269,18 @@ func (b *bench) probeSearchCalls(ctx context.Context, p *pool, svc *webtable.Ser
 }
 
 // probeIngest annotates probeBatches fresh batches with AnnotateCorpus,
-// which gives the annotation layer's cost on unseen tables. It then
-// annotates each batch once more and adds it with AddTables: the
-// annotator's caches are warm for both of these calls, so AddTables'
-// extra time over the second annotation is the segment layer's
-// indexing cost.
+// which gives the annotation layer's cost on unseen tables; adds each
+// annotated batch to a segment store of its own, which gives the
+// segment layer's cost alone (AddTables minus a second annotation of
+// the same batch is smaller than annotation's run-to-run noise); and
+// then adds the batch with AddTables, the whole write path.
 func (b *bench) probeIngest(ctx context.Context, w *worldgen.World, svc *webtable.Service) error {
 	rec := b.rec
+	store, err := segment.New(svc.Catalog(), segment.Config{})
+	if err != nil {
+		return err
+	}
+	defer store.Close()
 	for j := 0; j < probeBatches; j++ {
 		tabs := tablesOf(freshBatch(w, "probe", b.opt.seed, j))
 		id := rec.begin("core.AnnotateCorpus", -1, int64(j))
@@ -283,9 +289,9 @@ func (b *bench) probeIngest(ctx context.Context, w *worldgen.World, svc *webtabl
 		if err != nil {
 			return err
 		}
-		id = rec.begin("core.AnnotateCorpus.warm", -1, int64(j))
-		_, err = svc.AnnotateCorpus(ctx, tabs)
-		rec.end(id)
+		id = rec.begin("segment.Store.Add", -1, int64(j))
+		_, err = store.Add(ctx, tabs, anns)
+		rec.end(id, tally{"tables", int64(len(tabs))})
 		if err != nil {
 			return err
 		}
@@ -342,14 +348,10 @@ func (b *bench) report(t *traceable, snapBytes, tables int) error {
 	b.add("core.bp_capped_ratio", "ratio", total(ann, "bp_unconverged")/nTables, "tables that hit MaxIters")
 	b.add("core.factors_per_table", "count", total(ann, "factors")/nTables, "")
 
-	// internal/segment: AddTables minus AnnotateCorpus of the same batch.
-	add, warm := rec.named("segment.AddTables"), rec.named("core.AnnotateCorpus.warm")
-	var index []float64
-	for i := range add {
-		index = append(index, float64(add[i].dur()-warm[i].dur())/float64(time.Millisecond))
-	}
-	b.add("segment.index_ms_per_batch", "ms", median(index), fmt.Sprintf("median of %d batches of %d", len(index), ingestBatch))
-	b.add("segment.add_ms_per_batch", "ms", median(durations(add, time.Millisecond)), "AddTables wall time")
+	// internal/segment.
+	index := rec.named("segment.Store.Add")
+	b.add("segment.index_ms_per_batch", "ms", median(durations(index, time.Millisecond)), fmt.Sprintf("Store.Add of annotated batches, median of %d batches of %d", len(index), ingestBatch))
+	b.add("segment.add_ms_per_batch", "ms", median(durations(rec.named("segment.AddTables"), time.Millisecond)), "AddTables wall time")
 	segs, tombs := 0, 0
 	for _, cs := range t.phases.served {
 		segs += cs.Segments

@@ -117,12 +117,7 @@ func openLoop(ctx context.Context, clients, n int, rate float64, stop <-chan str
 					return
 				}
 				due := start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
-				timer.Reset(max(time.Until(due), 0))
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					return
-				case <-stop:
+				if !waitUntil(ctx, stop, timer, due) {
 					return
 				}
 				lates[i] = millis(time.Since(due))
@@ -139,6 +134,35 @@ func openLoop(ctx context.Context, clients, n int, rate float64, stop <-chan str
 		}
 	}
 	return lat, late
+}
+
+// coarseWake is how long before a request is due an open-loop client
+// stops waiting on a runtime timer and sleeps the rest on the kernel's
+// timer. A runtime timer wakes an idle process up to a millisecond
+// late, longer than a search request takes, and the open loop would
+// charge that delay to every request.
+const coarseWake = 2 * time.Millisecond
+
+// waitUntil blocks until due and reports whether the open loop may
+// still send: false once ctx is done or stop is closed.
+func waitUntil(ctx context.Context, stop <-chan struct{}, timer *time.Timer, due time.Time) bool {
+	if d := time.Until(due) - coarseWake; d > 0 {
+		timer.Reset(d)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			return false
+		case <-stop:
+			return false
+		}
+	}
+	sleepFine(time.Until(due))
+	select {
+	case <-stop:
+		return false
+	default:
+		return ctx.Err() == nil
+	}
 }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

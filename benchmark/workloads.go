@@ -272,9 +272,8 @@ func runSearch(ctx context.Context, b *bench, routed bool) error {
 	if routed {
 		rate = routedRate
 	}
-	// The closed loop gets the larger share: its throughput moves with
-	// the host's speed more than the open loop's median does.
-	m, err := b.measureSearch(ctx, d.snap, routed, p, st, 0.6, 0.4, rate)
+	// The open loop, whose median is reported, gets the larger share.
+	m, err := b.measureSearch(ctx, d.snap, routed, p, st, 0.3, 0.7, rate)
 	if err != nil {
 		return err
 	}
@@ -461,7 +460,7 @@ func runIngest(ctx context.Context, b *bench) error {
 		b.check.searchResponse(status, body, p.expect[slot], err)
 	}
 	sweep.close()
-	m, err := b.measureSearch(ctx, final.Bytes(), false, p, st, 0.4, 0.3, searchRate)
+	m, err := b.measureSearch(ctx, final.Bytes(), false, p, st, 0.2, 0.5, searchRate)
 	if err != nil {
 		return err
 	}
