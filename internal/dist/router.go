@@ -94,8 +94,8 @@ type RouterStatsResponse struct {
 // Router is the stateless scatter-gather front of a shard cluster: it
 // validates requests locally (rejecting malformed input without
 // touching the cluster), forwards the raw request bytes to every
-// shard, and merges the partial evidence in corpus order so the page
-// it returns is byte-identical to a single node serving the whole
+// shard, and sums the shards' cluster summaries so the page it
+// returns is byte-identical to a single node serving the whole
 // snapshot. It holds no index — only the shard addresses.
 //
 // Failure policy: any shard definitively failing (after the client's

@@ -236,6 +236,8 @@ func TestRouterLocalValidation(t *testing.T) {
 		{"bad mode", `{"mode":"quantum"}`, "invalid_mode"},
 		{"negative page size", `{"page_size":-1}`, "invalid_page_size"},
 		{"bad cursor", `{"cursor":"!!"}`, "invalid_cursor"},
+		// A float-score cursor ({"s":<IEEE bits of 3.0>,"u":2,...}).
+		{"float-score cursor", `{"cursor":"eyJzIjo0NjEzOTM3ODE4MjQxMDczMTUyLCJ1IjoyLCJ0IjoiRmlsbSAxIiwiayI6InQ6ZmlsbSAxIn0"}`, "invalid_cursor"},
 		{"unknown field", `{"nope":1}`, "bad_request"},
 		{"trailing data", `{} {}`, "bad_request"},
 		{"not json", `hello`, "bad_request"},

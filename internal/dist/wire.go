@@ -2,7 +2,7 @@
 // that own contiguous slices of a snapshot's segment manifest and
 // export partial search evidence over HTTP, and a stateless
 // scatter-gather router that merges those partials into result pages
-// byte-identical to a single node serving the whole corpus.
+// identical to a single node serving the whole corpus.
 //
 // Topology:
 //
@@ -17,12 +17,18 @@
 // deterministic function of the manifest (snapshot.AssignShards), so
 // shards agree on who owns which global table numbers without any
 // coordination. The router holds no corpus state at all: it forwards
-// the client's request bytes to every shard, gathers partial evidence
-// (internal/search's replay-ordered hit logs), and folds it through
-// the same corpus-order aggregation a single node uses — scores,
-// totals, cursors, dominant surface forms and explanations come out
-// bit-for-bit identical because every cluster's floating-point
-// evidence is summed in exactly the single-node scan order.
+// the client's request bytes to every shard, gathers one summary per
+// answer cluster from each (internal/search's PartialGroup), and sums
+// them with the same merge step a single node uses between its
+// parallel scan ranges. Scores are fixed-point: each hit's evidence is
+// quantized once to int64 units of 2⁻³² (search.ScoreScale), so
+// per-shard sums add up to exactly the single-node score whatever the
+// shard layout. One hit is under 2³³ units, so an int64 holds more than
+// 2³⁰ hits per cluster; presented scores are float64(units)/2³², which
+// differs from a float sum of the raw evidence in the low-order
+// digits. Totals, cursors, dominant surface forms and explanations
+// (canonical order, at most search.MaxExplainSources sources per
+// cluster) merge exactly too.
 //
 // Failure semantics are structural, never silent: a shard that stays
 // unreachable after bounded retries fails the whole request with a 502
@@ -35,7 +41,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/catalog"
 	"repro/internal/search"
@@ -44,127 +49,107 @@ import (
 // partialMagic heads every partial-evidence payload.
 var partialMagic = [6]byte{'W', 'T', 'P', 'A', 'R', 'T'}
 
-// PartialVersion is the current partial-evidence wire version. Version
-// 2 added the fixed-size execution-stats block after the shard header;
-// version-1 payloads (no stats block) still decode, with zero-value
-// Stats.
-const PartialVersion = 2
+// PartialVersion is the partial-evidence wire version. Version 3
+// carries one fixed-point summary per answer cluster; the reader
+// accepts no other version.
+const PartialVersion = 3
 
 // ErrBadPartial reports a partial-evidence payload that is not
 // well-formed: wrong magic, unknown version, truncation, trailing
-// garbage, or ordering violations.
+// garbage, or a summary that breaks the format's invariants.
 var ErrBadPartial = errors.New("dist: malformed partial payload")
 
 // Partial is one shard's response to a partial-evidence query: the
-// replay groups plus the identity envelope the router verifies before
-// merging (a shard answering for the wrong slice or a different corpus
-// generation would silently corrupt the merge).
+// cluster summaries plus the identity envelope the router verifies
+// before merging (a shard answering for the wrong slice or a different
+// corpus generation would silently corrupt the merge).
 type Partial struct {
 	// Generation is the corpus generation the shard serves.
 	Generation uint64
 	// Shard and Shards identify the responder's slice of the cluster.
 	Shard, Shards int
 	// Stats is the shard-local execution cost of producing Groups.
-	// Zero-valued when the payload predates version 2.
 	Stats search.ExecStats
-	// Groups is the shard's partial evidence in replay order.
+	// Groups holds one summary per answer cluster, ascending by Key.
 	Groups []search.PartialGroup
 }
 
-// partialStatsLen is the byte length of the version-2 execution-stats
-// block: 3 u64 counters, 4 u32 small counts, 6 u64 stage nanos.
+// partialStatsLen is the byte length of the execution-stats block: 3
+// u64 counters, 4 u32 small counts, 6 u64 stage nanos.
 const partialStatsLen = 3*8 + 4*4 + 6*8
 
-// EncodePartial serializes p at the current wire version. Layout (all
-// integers big-endian):
+// maxSourceUnits bounds one source's score units: a single hit's
+// evidence is at most 1.5, under 2³³ units.
+const maxSourceUnits = 1 << 33
+
+// EncodePartial serializes p. Layout (all integers big-endian):
 //
 //	magic "WTPART", version u8, generation u64, shard u32, shards u32,
-//	stats block (v2+: candidate-pairs u64, pairs-matched u64,
-//	rows-scanned u64, segments u32, tombstones u32, answers-before-topk
-//	u32, parallelism u32, then validate/plan/scan/aggregate/select/
-//	explain stage nanos as 6 × u64), groups u32, then per group: key
-//	u32, clusters u32, then per cluster: entity i32 (-1 = text
-//	cluster), norm string, canonical string, hits u32 × (table i32, row
-//	i32, col i32, evidence f64 bits), variants u32 × (raw string, count
-//	u32).
+//	stats block (candidate-pairs u64, pairs-matched u64, rows-scanned
+//	u64, segments u32, tombstones u32, answers-before-topk u32,
+//	parallelism u32, then validate/plan/scan/aggregate/select/explain
+//	stage nanos as 6 × u64), clusters u32, then per cluster: entity
+//	i32 (-1 = text cluster), name string (canonical name of an entity
+//	cluster, normalized key of a text cluster), score u64 (units of
+//	2⁻³²), support u32, variants u32 × (raw string, count u32), sources
+//	u32 × (table i32, row i32, col i32, score u64 units).
 //
-// Strings are u32 length + bytes. The hit entries are the same
-// pointer-free 24-byte records the in-process parallel scan logs; the
-// evidence float crosses the wire as its exact bit pattern, because the
-// merge's byte-identity contract is bit-exact arithmetic.
+// Strings are u32 length + bytes.
 func EncodePartial(p *Partial) []byte {
-	return encodePartial(p, PartialVersion)
-}
-
-// encodePartial serializes p at an explicit wire version — version 1
-// omits the stats block. Kept internal for compatibility tests; callers
-// always encode at PartialVersion.
-func encodePartial(p *Partial, version uint8) []byte {
-	// Pre-size: header + a conservative walk of the payload.
-	size := 6 + 1 + 8 + 4 + 4 + 4
-	if version >= 2 {
-		size += partialStatsLen
-	}
-	for gi := range p.Groups {
-		size += 8
-		for ci := range p.Groups[gi].Clusters {
-			c := &p.Groups[gi].Clusters[ci]
-			size += 4 + 4 + len(c.Norm) + 4 + len(c.Canonical)
-			size += 4 + 20*len(c.Hits)
-			size += 4
-			for vi := range c.Variants {
-				size += 8 + len(c.Variants[vi].Raw)
-			}
+	size := 6 + 1 + 8 + 4 + 4 + partialStatsLen + 4
+	for i := range p.Groups {
+		g := &p.Groups[i]
+		size += 4 + 4 + len(g.Canonical) + len(g.Norm) + 8 + 4 + 4 + 4 + 20*len(g.Sources)
+		for _, v := range g.Variants {
+			size += 8 + len(v.Raw)
 		}
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, partialMagic[:]...)
-	buf = append(buf, version)
+	buf = append(buf, PartialVersion)
 	buf = binary.BigEndian.AppendUint64(buf, p.Generation)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Shard))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Shards))
-	if version >= 2 {
-		st := &p.Stats
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.CandidatePairs))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.PairsMatched))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.RowsScanned))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.SegmentsVisited))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.TombstonesSkipped))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.AnswersBeforeTopK))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.Parallelism))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Validate))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Plan))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Scan))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Aggregate))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Select))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Explain))
-	}
+	st := &p.Stats
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.CandidatePairs))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.PairsMatched))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.RowsScanned))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.SegmentsVisited))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.TombstonesSkipped))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.AnswersBeforeTopK))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.Parallelism))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Validate))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Plan))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Scan))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Aggregate))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Select))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Explain))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Groups)))
 	appendString := func(s string) {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
 		buf = append(buf, s...)
 	}
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		buf = binary.BigEndian.AppendUint32(buf, g.Key)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(g.Clusters)))
-		for ci := range g.Clusters {
-			c := &g.Clusters[ci]
-			buf = binary.BigEndian.AppendUint32(buf, uint32(int32(c.Entity)))
-			appendString(c.Norm)
-			appendString(c.Canonical)
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Hits)))
-			for _, h := range c.Hits {
-				buf = binary.BigEndian.AppendUint32(buf, uint32(h.Table))
-				buf = binary.BigEndian.AppendUint32(buf, uint32(h.Row))
-				buf = binary.BigEndian.AppendUint32(buf, uint32(h.Col))
-				buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(h.Evidence))
-			}
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Variants)))
-			for vi := range c.Variants {
-				appendString(c.Variants[vi].Raw)
-				buf = binary.BigEndian.AppendUint32(buf, uint32(c.Variants[vi].Count))
-			}
+	for i := range p.Groups {
+		g := &p.Groups[i]
+		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(g.Entity)))
+		if g.Entity != catalog.None {
+			appendString(g.Canonical)
+		} else {
+			appendString(g.Norm)
+		}
+		buf = binary.BigEndian.AppendUint64(buf, uint64(g.Score))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(g.Support))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(g.Variants)))
+		for _, v := range g.Variants {
+			appendString(v.Raw)
+			buf = binary.BigEndian.AppendUint32(buf, uint32(v.Count))
+		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(g.Sources)))
+		for _, src := range g.Sources {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(int32(src.Table)))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(int32(src.Row)))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(int32(src.Col)))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(src.Score*search.ScoreScale))
 		}
 	}
 	return buf
@@ -229,12 +214,12 @@ func (r *partialReader) count(min int) (int, error) {
 	return int(n), nil
 }
 
-// DecodePartial deserializes one payload, validating structure
-// strictly: magic, version, bounds on every count, strictly ascending
-// group keys (the replay order the merge depends on), and no trailing
-// bytes. Version-1 payloads (pre-stats) decode with zero-value Stats;
-// versions above PartialVersion fail with ErrBadPartial before any
-// field is decoded.
+// DecodePartial deserializes one payload, validating it strictly:
+// magic, version 3 only, bounds on every count, cluster keys strictly
+// ascending (a repeated cluster would be double-counted by the merge),
+// support of at least 1, no negative score, at most min(support,
+// search.MaxExplainSources) sources each with 1 to 2³³−1 units, and no
+// trailing bytes. Every error wraps ErrBadPartial.
 func DecodePartial(data []byte) (*Partial, error) {
 	r := &partialReader{data: data}
 	head, err := r.take(len(partialMagic))
@@ -248,8 +233,8 @@ func DecodePartial(data []byte) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver[0] < 1 || ver[0] > PartialVersion {
-		return nil, fmt.Errorf("%w: version %d, reader supports 1..%d", ErrBadPartial, ver[0], PartialVersion)
+	if ver[0] != PartialVersion {
+		return nil, fmt.Errorf("%w: version %d, reader supports %d", ErrBadPartial, ver[0], PartialVersion)
 	}
 	p := &Partial{}
 	if p.Generation, err = r.u64(); err != nil {
@@ -264,102 +249,113 @@ func DecodePartial(data []byte) (*Partial, error) {
 		return nil, err
 	}
 	p.Shard, p.Shards = int(shard), int(shards)
-	if ver[0] >= 2 {
-		b, err := r.take(partialStatsLen)
-		if err != nil {
-			return nil, err
-		}
-		st := &p.Stats
-		st.CandidatePairs = int64(binary.BigEndian.Uint64(b[0:8]))
-		st.PairsMatched = int64(binary.BigEndian.Uint64(b[8:16]))
-		st.RowsScanned = int64(binary.BigEndian.Uint64(b[16:24]))
-		st.SegmentsVisited = int(int32(binary.BigEndian.Uint32(b[24:28])))
-		st.TombstonesSkipped = int(int32(binary.BigEndian.Uint32(b[28:32])))
-		st.AnswersBeforeTopK = int(int32(binary.BigEndian.Uint32(b[32:36])))
-		st.Parallelism = int(int32(binary.BigEndian.Uint32(b[36:40])))
-		st.Stage.Validate = int64(binary.BigEndian.Uint64(b[40:48]))
-		st.Stage.Plan = int64(binary.BigEndian.Uint64(b[48:56]))
-		st.Stage.Scan = int64(binary.BigEndian.Uint64(b[56:64]))
-		st.Stage.Aggregate = int64(binary.BigEndian.Uint64(b[64:72]))
-		st.Stage.Select = int64(binary.BigEndian.Uint64(b[72:80]))
-		st.Stage.Explain = int64(binary.BigEndian.Uint64(b[80:88]))
+	b, err := r.take(partialStatsLen)
+	if err != nil {
+		return nil, err
 	}
-	nGroups, err := r.count(8)
+	st := &p.Stats
+	st.CandidatePairs = int64(binary.BigEndian.Uint64(b[0:8]))
+	st.PairsMatched = int64(binary.BigEndian.Uint64(b[8:16]))
+	st.RowsScanned = int64(binary.BigEndian.Uint64(b[16:24]))
+	st.SegmentsVisited = int(int32(binary.BigEndian.Uint32(b[24:28])))
+	st.TombstonesSkipped = int(int32(binary.BigEndian.Uint32(b[28:32])))
+	st.AnswersBeforeTopK = int(int32(binary.BigEndian.Uint32(b[32:36])))
+	st.Parallelism = int(int32(binary.BigEndian.Uint32(b[36:40])))
+	st.Stage.Validate = int64(binary.BigEndian.Uint64(b[40:48]))
+	st.Stage.Plan = int64(binary.BigEndian.Uint64(b[48:56]))
+	st.Stage.Scan = int64(binary.BigEndian.Uint64(b[56:64]))
+	st.Stage.Aggregate = int64(binary.BigEndian.Uint64(b[64:72]))
+	st.Stage.Select = int64(binary.BigEndian.Uint64(b[72:80]))
+	st.Stage.Explain = int64(binary.BigEndian.Uint64(b[80:88]))
+	// A cluster is at least entity, name length, score, support and the
+	// two list counts.
+	nGroups, err := r.count(4 + 4 + 8 + 4 + 4 + 4)
 	if err != nil {
 		return nil, err
 	}
 	if nGroups > 0 {
-		p.Groups = make([]search.PartialGroup, 0, nGroups)
+		p.Groups = make([]search.PartialGroup, nGroups)
 	}
-	for gi := 0; gi < nGroups; gi++ {
-		var g search.PartialGroup
-		if g.Key, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if gi > 0 && g.Key <= p.Groups[gi-1].Key {
-			return nil, fmt.Errorf("%w: group keys not strictly ascending (%d after %d)",
-				ErrBadPartial, g.Key, p.Groups[gi-1].Key)
-		}
-		nClusters, err := r.count(20)
+	prevKey := ""
+	for gi := range p.Groups {
+		g := &p.Groups[gi]
+		ent, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
-		if nClusters > 0 {
-			g.Clusters = make([]search.ClusterPartial, 0, nClusters)
+		g.Entity = catalog.EntityID(int32(ent))
+		name, err := r.str()
+		if err != nil {
+			return nil, err
 		}
-		for ci := 0; ci < nClusters; ci++ {
-			var c search.ClusterPartial
-			ent, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			c.Entity = catalog.EntityID(int32(ent))
-			if c.Norm, err = r.str(); err != nil {
-				return nil, err
-			}
-			if c.Canonical, err = r.str(); err != nil {
-				return nil, err
-			}
-			nHits, err := r.count(20)
-			if err != nil {
-				return nil, err
-			}
-			if nHits > 0 {
-				c.Hits = make([]search.PartialHit, nHits)
-			}
-			for hi := 0; hi < nHits; hi++ {
-				b, err := r.take(20)
-				if err != nil {
-					return nil, err
-				}
-				c.Hits[hi] = search.PartialHit{
-					Table:    int32(binary.BigEndian.Uint32(b[0:4])),
-					Row:      int32(binary.BigEndian.Uint32(b[4:8])),
-					Col:      int32(binary.BigEndian.Uint32(b[8:12])),
-					Evidence: math.Float64frombits(binary.BigEndian.Uint64(b[12:20])),
-				}
-			}
-			nVars, err := r.count(8)
-			if err != nil {
-				return nil, err
-			}
-			if nVars > 0 {
-				c.Variants = make([]search.Variant, nVars)
-			}
-			for vi := 0; vi < nVars; vi++ {
-				raw, err := r.str()
-				if err != nil {
-					return nil, err
-				}
-				cnt, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				c.Variants[vi] = search.Variant{Raw: raw, Count: int(cnt)}
-			}
-			g.Clusters = append(g.Clusters, c)
+		if g.Entity != catalog.None {
+			g.Canonical = name
+		} else {
+			g.Norm = name
 		}
-		p.Groups = append(p.Groups, g)
+		key := g.Key()
+		if gi > 0 && key <= prevKey {
+			return nil, fmt.Errorf("%w: cluster keys not strictly ascending (%q after %q)", ErrBadPartial, key, prevKey)
+		}
+		prevKey = key
+		score, err := r.u64()
+		if err != nil {
+			return nil, err
+		}
+		if g.Score = int64(score); g.Score < 0 {
+			return nil, fmt.Errorf("%w: cluster %q has negative score", ErrBadPartial, key)
+		}
+		support, err := r.u32()
+		if err != nil {
+			return nil, err
+		}
+		if g.Support = int(support); g.Support == 0 {
+			return nil, fmt.Errorf("%w: cluster %q has zero support", ErrBadPartial, key)
+		}
+		nVars, err := r.count(8)
+		if err != nil {
+			return nil, err
+		}
+		if nVars > 0 {
+			g.Variants = make([]search.Variant, nVars)
+		}
+		for vi := range g.Variants {
+			raw, err := r.str()
+			if err != nil {
+				return nil, err
+			}
+			cnt, err := r.u32()
+			if err != nil {
+				return nil, err
+			}
+			g.Variants[vi] = search.Variant{Raw: raw, Count: int(cnt)}
+		}
+		nSrcs, err := r.count(20)
+		if err != nil {
+			return nil, err
+		}
+		if nSrcs > min(g.Support, search.MaxExplainSources) {
+			return nil, fmt.Errorf("%w: cluster %q has %d sources for support %d", ErrBadPartial, key, nSrcs, g.Support)
+		}
+		if nSrcs > 0 {
+			g.Sources = make([]search.SourceRef, nSrcs)
+		}
+		for si := range g.Sources {
+			b, err := r.take(20)
+			if err != nil {
+				return nil, err
+			}
+			units := binary.BigEndian.Uint64(b[12:20])
+			if units == 0 || units >= maxSourceUnits {
+				return nil, fmt.Errorf("%w: cluster %q source score %d units out of range", ErrBadPartial, key, units)
+			}
+			g.Sources[si] = search.SourceRef{
+				Table: int(int32(binary.BigEndian.Uint32(b[0:4]))),
+				Row:   int(int32(binary.BigEndian.Uint32(b[4:8]))),
+				Col:   int(int32(binary.BigEndian.Uint32(b[8:12]))),
+				Score: float64(units) / search.ScoreScale,
+			}
+		}
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPartial, r.remaining())

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -11,9 +13,9 @@ import (
 	"repro/internal/search"
 )
 
-// samplePartial exercises every field: multiple groups, entity and text
-// clusters, empty hit/variant lists, and evidence floats whose exact
-// bit patterns must survive the wire (subnormal, negative zero, huge).
+// samplePartial exercises every field: entity and text clusters, empty
+// and full variant and source lists, the largest and smallest source
+// scores, and a cluster score near the int64 limit.
 func samplePartial() *Partial {
 	return &Partial{
 		Generation: 42,
@@ -33,32 +35,29 @@ func samplePartial() *Partial {
 			},
 		},
 		Groups: []search.PartialGroup{
-			{Key: 0, Clusters: []search.ClusterPartial{
-				{
-					Entity:    7,
-					Norm:      "epic saga",
-					Canonical: "Epic Saga",
-					Hits: []search.PartialHit{
-						{Table: 0, Row: 3, Col: 1, Evidence: 0.375},
-						{Table: 2147483000, Row: 0, Col: 0, Evidence: math.Copysign(0, -1)},
-					},
+			{
+				Entity:    7,
+				Canonical: "Epic Saga",
+				Score:     math.MaxInt64,
+				Support:   3,
+				Sources: []search.SourceRef{
+					{Table: 0, Row: 3, Col: 1, Score: 0.375},
+					{Table: 2147483000, Row: 0, Col: 0, Score: 1.5},
 				},
-				{
-					Entity:    catalog.None,
-					Norm:      "solo auteur",
-					Canonical: "",
-					Hits:      []search.PartialHit{{Table: 1, Row: 2, Col: 0, Evidence: 5e-324}},
-					Variants: []search.Variant{
-						{Raw: "  Solo Auteur  ", Count: 2},
-						{Raw: "SOLO AUTEUR", Count: 1},
-					},
+			},
+			{
+				Entity:  catalog.None,
+				Norm:    "solo auteur",
+				Score:   3 << 31,
+				Support: 3,
+				Variants: []search.Variant{
+					{Raw: "  Solo Auteur  ", Count: 2},
+					{Raw: "SOLO AUTEUR", Count: 1},
 				},
-			}},
-			{Key: 9, Clusters: nil},
-			{Key: 31, Clusters: []search.ClusterPartial{
-				{Entity: catalog.None, Norm: "x", Canonical: "", Hits: nil,
-					Variants: []search.Variant{{Raw: "x", Count: 1}}},
-			}},
+				Sources: []search.SourceRef{{Table: 1, Row: 2, Col: 0, Score: 1.0 / search.ScoreScale}},
+			},
+			{Entity: catalog.None, Norm: "x", Score: 1, Support: 1,
+				Variants: []search.Variant{{Raw: "x", Count: 1}}},
 		},
 	}
 }
@@ -79,19 +78,25 @@ func TestPartialRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPartialEvidenceBitExact pins the fixed-point evidence on the
+// wire: cluster score units and source scores survive exactly at the
+// extremes of their ranges.
 func TestPartialEvidenceBitExact(t *testing.T) {
-	p := &Partial{Shards: 1, Groups: []search.PartialGroup{{Key: 0, Clusters: []search.ClusterPartial{{
-		Entity: catalog.None, Norm: "n",
-		Hits: []search.PartialHit{{Evidence: math.Copysign(0, -1)}},
-	}}}}}
+	top := float64(1<<33-1) / search.ScoreScale
+	p := &Partial{Shards: 1, Groups: []search.PartialGroup{{
+		Entity: catalog.None, Norm: "n", Score: math.MaxInt64 - 1, Support: 2,
+		Sources: []search.SourceRef{{Score: top}, {Score: 1.0 / search.ScoreScale}},
+	}}}
 	got, err := DecodePartial(EncodePartial(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb := math.Float64bits(got.Groups[0].Clusters[0].Hits[0].Evidence)
-	wb := math.Float64bits(math.Copysign(0, -1))
-	if gb != wb {
-		t.Fatalf("evidence bits %x, want %x (negative zero must survive)", gb, wb)
+	g := got.Groups[0]
+	if g.Score != math.MaxInt64-1 {
+		t.Fatalf("score units %d, want %d", g.Score, int64(math.MaxInt64-1))
+	}
+	if g.Sources[0].Score != top || g.Sources[1].Score != 1.0/search.ScoreScale {
+		t.Fatalf("source scores %v, want %v and 2^-32", g.Sources, top)
 	}
 }
 
@@ -103,30 +108,6 @@ func TestDecodePartialTruncation(t *testing.T) {
 		if _, err := DecodePartial(data[:n]); !errors.Is(err, ErrBadPartial) {
 			t.Fatalf("prefix of %d bytes: err = %v, want ErrBadPartial", n, err)
 		}
-	}
-}
-
-// TestDecodePartialV1Compat pins backward compatibility: a version-1
-// payload (pre-stats) decodes successfully, every evidence field
-// intact, with zero-value Stats — exactly what a router merging output
-// from a not-yet-upgraded shard must see.
-func TestDecodePartialV1Compat(t *testing.T) {
-	p := samplePartial()
-	data := encodePartial(p, 1)
-	got, err := DecodePartial(data)
-	if err != nil {
-		t.Fatalf("v1 payload rejected: %v", err)
-	}
-	want := *p
-	want.Stats = search.ExecStats{}
-	if !reflect.DeepEqual(got, &want) {
-		t.Fatalf("v1 decode mismatch:\ngot  %+v\nwant %+v", got, &want)
-	}
-	// The v1 payload really is the old layout: exactly the stats block
-	// shorter than the v2 encoding of the same partial.
-	if len(EncodePartial(p))-len(data) != partialStatsLen {
-		t.Fatalf("v1 payload %d bytes, v2 %d bytes, want difference %d",
-			len(data), len(EncodePartial(p)), partialStatsLen)
 	}
 }
 
@@ -160,32 +141,74 @@ func TestDecodePartialRejects(t *testing.T) {
 	badMagic := append([]byte(nil), valid...)
 	badMagic[0] = 'X'
 
-	badVersion := append([]byte(nil), valid...)
-	badVersion[6] = 99
-
 	trailing := append(append([]byte(nil), valid...), 0xFF)
 
-	// Corrupt the group count (the 4 bytes after the 23-byte header and
-	// the 88-byte v2 stats block) to something absurd: must fail bounds
+	// Corrupt the cluster count (the 4 bytes after the 23-byte header and
+	// the 88-byte stats block) to something absurd: must fail bounds
 	// checking, not allocate.
-	const groupCountOff = 23 + partialStatsLen
+	const countOff = 23 + partialStatsLen
 	hugeCount := append([]byte(nil), valid...)
-	hugeCount[groupCountOff], hugeCount[groupCountOff+1] = 0xFF, 0xFF
-	hugeCount[groupCountOff+2], hugeCount[groupCountOff+3] = 0xFF, 0xFF
+	hugeCount[countOff], hugeCount[countOff+1] = 0xFF, 0xFF
+	hugeCount[countOff+2], hugeCount[countOff+3] = 0xFF, 0xFF
 
-	// Two groups with descending keys violate replay order.
-	descending := EncodePartial(&Partial{Groups: []search.PartialGroup{{Key: 5}, {Key: 3}}})
-
-	for name, data := range map[string][]byte{
-		"bad magic":       badMagic,
-		"bad version":     badVersion,
-		"trailing bytes":  trailing,
-		"huge count":      hugeCount,
-		"descending keys": descending,
-		"empty":           nil,
+	cases := map[string][]byte{
+		"bad magic":      badMagic,
+		"trailing bytes": trailing,
+		"huge count":     hugeCount,
+		"empty":          nil,
+	}
+	for _, v := range []byte{1, 2, 4, 99} {
+		old := append([]byte(nil), valid...)
+		old[6] = v
+		cases[fmt.Sprintf("version %d", v)] = old
+	}
+	text := func(norm string, score int64, support int, srcs ...search.SourceRef) search.PartialGroup {
+		return search.PartialGroup{Entity: catalog.None, Norm: norm, Score: score, Support: support, Sources: srcs}
+	}
+	src := func(units uint64) search.SourceRef {
+		return search.SourceRef{Score: float64(units) / search.ScoreScale}
+	}
+	many := make([]search.SourceRef, search.MaxExplainSources+1)
+	for i := range many {
+		many[i] = src(1)
+	}
+	for name, groups := range map[string][]search.PartialGroup{
+		"descending keys":   {text("b", 1, 1), text("a", 1, 1)},
+		"duplicate cluster": {text("a", 1, 1), text("a", 1, 1)},
+		"duplicate entity":  {{Entity: 4, Canonical: "A", Score: 1, Support: 1}, {Entity: 4, Canonical: "B", Score: 1, Support: 1}},
+		"zero support":      {text("a", 1, 0)},
+		"negative score":    {text("a", -1, 1)},
+		"sources > support": {text("a", 2, 1, src(1), src(1))},
+		"sources > cap":     {text("a", 99, 99, many...)},
+		"zero source score": {text("a", 1, 1, src(0))},
+		"huge source score": {text("a", 1<<40, 1, src(1<<33))},
 	} {
+		cases[name] = EncodePartial(&Partial{Groups: groups})
+	}
+	for name, data := range cases {
 		if _, err := DecodePartial(data); !errors.Is(err, ErrBadPartial) {
 			t.Errorf("%s: err = %v, want ErrBadPartial", name, err)
 		}
 	}
+}
+
+// FuzzDecodePartial feeds arbitrary bytes to the decoder: it must never
+// panic, every error must wrap ErrBadPartial, and anything it accepts
+// must re-encode to exactly the bytes it came from.
+func FuzzDecodePartial(f *testing.F) {
+	f.Add(EncodePartial(samplePartial()))
+	f.Add(EncodePartial(&Partial{Generation: 1, Shards: 1}))
+	f.Add([]byte("not a partial"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodePartial(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadPartial) {
+				t.Fatalf("error does not wrap ErrBadPartial: %v", err)
+			}
+			return
+		}
+		if again := EncodePartial(p); !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding differs:\n got  %x\n want %x", again, data)
+		}
+	})
 }

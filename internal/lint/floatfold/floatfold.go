@@ -3,10 +3,10 @@
 // associative: (a+b)+c and a+(b+c) differ in the low bits, and this
 // repository's results contract is bit-exact — pagination cursors
 // compare scores with ==, and parallel execution must reproduce the
-// serial scan byte for byte. The parallel executor earns that by
-// replaying per-shard partials in corpus order, a left fold over a
-// deterministic sequence. Any float accumulation outside that shape
-// leaks nondeterminism into scores. Two shapes are flagged:
+// serial scan byte for byte. Search scores earn that by summing
+// fixed-point integers; a float fold must run left over a deterministic
+// sequence, and any float accumulation outside that shape leaks
+// nondeterminism into its result. Two shapes are flagged:
 //
 //   - a float += (or -=, *=) inside a `range` over a map: the fold
 //     order is the map's randomized iteration order, so the same

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -18,11 +19,28 @@ import (
 // Power of two so the poll is a mask, not a division.
 const rowCheckInterval = 1024
 
-// cluster accumulates the evidence of one answer while a query executes.
+// ScoreScale is the fixed-point resolution of scores: each hit's
+// evidence is quantized once to int64 units of 1/ScoreScale (2⁻³²), and
+// a cluster's score is the integer sum of its hits' units. Integer
+// addition is associative, so a score never depends on the order its
+// hits were added in — serial scan, parallel ranges and shard partials
+// all sum to the same units. One hit is under 2³³ units (evidence is at
+// most 1.5), so an int64 holds more than 2³⁰ hits per cluster.
+// Presented scores are float64(units)/ScoreScale, exact below 2⁵³ units.
+const ScoreScale = 1 << 32
+
+// quantize converts one hit's evidence to score units.
+func quantize(evidence float64) int64 { return int64(math.Round(evidence * ScoreScale)) }
+
+// present converts score units to the presented float score.
+func present(units int64) float64 { return float64(units) / ScoreScale }
+
+// cluster is the summary of one answer's evidence within a scan range,
+// and — after merging — within the whole corpus.
 type cluster struct {
 	key     string // unique aggregation key ("e:<id>" or "t:<norm>")
 	entity  catalog.EntityID
-	score   float64
+	score   int64 // score units (see ScoreScale)
 	support int
 	// canonical is the presented text for entity clusters; text clusters
 	// derive theirs from the dominant surface form.
@@ -33,15 +51,22 @@ type cluster struct {
 	variants map[string]int
 	bestText string
 	bestN    int
+	// sources is the provenance kept when the request explains: at most
+	// MaxExplainSources sources, the first ones in canonical order.
+	sources []SourceRef
 }
 
-// noteRaw counts one occurrence of a raw surface form, keeping the
+// noteRaw counts n occurrences of a raw surface form, keeping the
 // dominant-form fields current. The invariant — bestText is the
 // highest-count variant, ties broken by the lexicographically smaller
 // string — depends only on the final counts, so any accumulation order
-// (serial scan or parallel replay) lands on the same dominant form.
-func (c *cluster) noteRaw(raw string) {
-	total := c.variants[raw] + 1
+// or batching (one scan range, or merged range summaries) lands on the
+// same dominant form.
+func (c *cluster) noteRaw(raw string, n int) {
+	if n <= 0 {
+		return
+	}
+	total := c.variants[raw] + n
 	c.variants[raw] = total
 	if total > c.bestN || (total == c.bestN && raw < c.bestText) {
 		c.bestText, c.bestN = raw, total
@@ -58,109 +83,112 @@ func (c *cluster) text() string {
 	return c.bestText
 }
 
+// mergeInto adds summary c — from one scan range or one shard — to the
+// cluster map cs: the one merge step behind in-process parallel ranges
+// (collect) and shard partials (MergePartials). Every field merges
+// order-independently: units, support and variant counts add, and
+// sources keep the canonical first MaxExplainSources of the union.
+func mergeInto(cs map[string]*cluster, c *cluster) {
+	d := cs[c.key]
+	if d == nil {
+		cs[c.key] = c
+		return
+	}
+	d.score += c.score
+	d.support += c.support
+	for raw, n := range c.variants {
+		d.noteRaw(raw, n)
+	}
+	for _, s := range c.sources {
+		d.sources = addSource(d.sources, s)
+	}
+}
+
+// before reports whether a precedes b in the canonical source order:
+// table, row, column, then score.
+func (a SourceRef) before(b SourceRef) bool {
+	if a.Table != b.Table {
+		return a.Table < b.Table
+	}
+	if a.Row != b.Row {
+		return a.Row < b.Row
+	}
+	if a.Col != b.Col {
+		return a.Col < b.Col
+	}
+	return a.Score < b.Score
+}
+
+// addSource inserts s into srcs — at most MaxExplainSources sources in
+// canonical order — keeping the first MaxExplainSources. The kept set
+// is the canonical prefix of everything ever added, whatever the order
+// of addition.
+func addSource(srcs []SourceRef, s SourceRef) []SourceRef {
+	i := sort.Search(len(srcs), func(i int) bool { return s.before(srcs[i]) })
+	if i == MaxExplainSources {
+		return srcs
+	}
+	if len(srcs) < MaxExplainSources {
+		srcs = append(srcs, SourceRef{})
+	}
+	copy(srcs[i+1:], srcs[i:])
+	srcs[i] = s
+	return srcs
+}
+
 // hit is one matching answer cell: its location, its entity annotation
-// (None for text clusters) and the evidence it contributes. A hit is
-// pointer-free on purpose — the parallel scan logs hits by the million,
-// and records without pointers are invisible to the garbage collector's
-// scan phase. Everything presentational (cluster key, canonical name,
-// raw text) is derived from the hit on demand.
+// (None for text clusters) and the evidence it contributes, already
+// quantized to score units.
 type hit struct {
-	loc      searchidx.CellLoc
-	entity   catalog.EntityID
-	evidence float64
+	loc    searchidx.CellLoc
+	entity catalog.EntityID
+	units  int64
 }
 
-// src converts a hit into its provenance record.
-func (h hit) src() SourceRef {
-	return SourceRef{Table: h.loc.Table, Row: h.loc.Row, Col: h.loc.Col, Score: h.evidence}
+// rangeSink builds the cluster summaries of one scan range.
+type rangeSink struct {
+	e       *Engine
+	explain bool
+	cs      map[string]*cluster
 }
 
-// resolveKey derives a hit's cluster aggregation key ("e:<id>" or
-// "t:<norm>"). ok is false for an unannotated cell whose normalized text
-// is empty: such cells have no cluster identity and contribute nothing.
-func (e *Engine) resolveKey(h hit) (key string, ok bool) {
+func newRangeSink(e *Engine, explain bool) *rangeSink {
+	return &rangeSink{e: e, explain: explain, cs: make(map[string]*cluster)}
+}
+
+// add folds one hit into its cluster. An unannotated cell whose
+// normalized text is empty has no cluster identity and contributes
+// nothing.
+func (rs *rangeSink) add(h hit) {
+	var key string
 	if h.entity != catalog.None {
-		return "e:" + strconv.Itoa(int(h.entity)), true
-	}
-	norm := e.c.NormCell(h.loc)
-	if norm == "" {
-		return "", false
-	}
-	return "t:" + norm, true
-}
-
-// evidenceSink receives every matching hit as a scan walks the
-// candidate column pairs. Implementations: cluster aggregation for
-// ranking, the shard-local hit log of the parallel scan, and provenance
-// recording for the page winners only.
-type evidenceSink interface {
-	add(h hit)
-}
-
-// clusterSink aggregates score, support and surface-form counts per
-// answer cluster.
-type clusterSink map[string]*cluster
-
-// insert folds one resolved hit into its cluster.
-func (cs clusterSink) insert(key string, h hit, canonical, raw string) {
-	a, ok := cs[key]
-	if !ok {
-		a = &cluster{key: key, entity: h.entity, canonical: canonical}
-		if canonical == "" {
-			a.variants = make(map[string]int)
+		key = "e:" + strconv.Itoa(int(h.entity))
+	} else {
+		norm := rs.e.c.NormCell(h.loc)
+		if norm == "" {
+			return
 		}
-		cs[key] = a
+		key = "t:" + norm
 	}
-	a.score += h.evidence
-	a.support++
-	if a.variants != nil {
-		a.noteRaw(raw)
+	c := rs.cs[key]
+	if c == nil {
+		c = &cluster{key: key, entity: h.entity}
+		if h.entity != catalog.None {
+			c.canonical = rs.e.cat.EntityName(h.entity)
+		} else {
+			c.variants = make(map[string]int)
+		}
+		rs.cs[key] = c
 	}
-}
-
-// clusterCollector is the ranking evidenceSink: it resolves each hit's
-// cluster identity and folds it into cs. Used by the serial scan
-// directly and by the parallel aggregation workers replaying hit logs.
-type clusterCollector struct {
-	e  *Engine
-	cs clusterSink
-}
-
-func (cc *clusterCollector) add(h hit) {
-	key, ok := cc.e.resolveKey(h)
-	if !ok {
-		return
+	c.score += h.units
+	c.support++
+	if c.variants != nil {
+		c.noteRaw(rs.e.c.RawCell(h.loc), 1)
 	}
-	canonical, raw := "", ""
-	if h.entity != catalog.None {
-		canonical = cc.e.cat.EntityName(h.entity)
-	} else {
-		raw = cc.e.c.RawCell(h.loc)
-	}
-	cc.cs.insert(key, h, canonical, raw)
-}
-
-// explainSink records provenance for a fixed set of clusters (the page
-// winners), so explanation state stays O(page size), not O(answers).
-// Evidence for other clusters is discarded.
-type explainSink struct {
-	e *Engine
-	m map[string]*Explanation
-}
-
-func (es *explainSink) add(h hit) {
-	key, ok := es.e.resolveKey(h)
-	if !ok {
-		return
-	}
-	ex, ok := es.m[key]
-	if !ok {
-		return
-	}
-	if len(ex.Sources) < MaxExplainSources {
-		ex.Sources = append(ex.Sources, h.src())
-	} else {
-		ex.Truncated++
+	if rs.explain {
+		c.sources = addSource(c.sources, SourceRef{
+			Table: h.loc.Table, Row: h.loc.Row, Col: h.loc.Col, Score: present(h.units),
+		})
 	}
 }
 
@@ -196,16 +224,18 @@ func (m queryMatcher) match(cellNorm string, cellToks map[string]struct{}) float
 }
 
 // Execute runs one request: gather candidate column pairs from the
-// index's posting lists, aggregate evidence per answer cluster, then
-// select the requested page with a bounded min-heap (O(n log k), no
-// full-corpus sort). Aggregation state is necessarily O(distinct
-// answers) — scores sum across rows before any answer can be ranked —
-// but selection, the returned page, and (with Explain set, via a second
-// winners-only scan) provenance state are all bounded by the page size.
+// index's posting lists, build per-cluster summaries over scan ranges
+// and merge them, then select the requested page with a bounded
+// min-heap (O(n log k), no full-corpus sort). Aggregation state is
+// necessarily O(distinct answers) — scores sum across rows before any
+// answer can be ranked — while selection and the returned page are
+// bounded by the page size. With Explain set, each summary also keeps
+// its canonical first MaxExplainSources sources.
 //
 // With parallelism above one (WithParallelism) the candidate pairs are
-// partitioned into contiguous shards scanned by a bounded worker pool;
-// results are byte-identical to the serial scan (see parallel.go).
+// partitioned into contiguous ranges scanned by a bounded worker pool;
+// fixed-point scores make the merged result identical to the serial
+// scan (see parallel.go).
 //
 // A context cancellation is detected between candidate pairs and every
 // rowCheckInterval rows within a pair, and returns the context's error.
@@ -214,10 +244,27 @@ func (m queryMatcher) match(cellNorm string, cellToks map[string]struct{}) float
 // search.scan, search.aggregate, search.select, search.explain) on the
 // context's trace, if it carries one; untraced executions pay one
 // context lookup per stage. Spans only time the stages — they never
-// reorder any work, so the byte-identical-results contract is
-// untouched. The same holds for Result.Stats: counters and stage
+// change any work. The same holds for Result.Stats: counters and stage
 // timings ride alongside the page and never influence it.
 func (e *Engine) Execute(ctx context.Context, req Request) (*Result, error) {
+	st, p, err := e.start(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	after, err := decodeAfter(req.Cursor)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := e.collect(ctx, p, req.Explain, st)
+	if err != nil {
+		return nil, err
+	}
+	return finish(ctx, cs, req.PageSize, after, req.Explain, st), nil
+}
+
+// start validates req and plans its scan, recording both stages in a
+// fresh ExecStats — the prefix Execute and ExecutePartial share.
+func (e *Engine) start(ctx context.Context, req Request) (*ExecStats, *scanPlan, error) {
 	st := &ExecStats{Parallelism: 1}
 	e.viewCounts(st)
 	t0 := time.Now()
@@ -226,47 +273,48 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Result, error) {
 	vsp.End()
 	st.Stage.Validate = int64(time.Since(t0))
 	if err != nil {
-		return nil, err
-	}
-	var after *rankKey
-	if req.Cursor != "" {
-		k, err := decodeCursor(req.Cursor)
-		if err != nil {
-			return nil, err
-		}
-		after = &k
+		return nil, nil, err
 	}
 	t0 = time.Now()
 	psp := obs.Begin(ctx, "search.plan")
 	p := e.plan(req)
-	cuts := e.cuts(&p)
 	psp.End()
 	st.Stage.Plan = int64(time.Since(t0))
-	clusters, err := e.collect(ctx, &p, cuts, st)
+	return st, &p, nil
+}
+
+// decodeAfter decodes a pagination cursor; nil means the first page.
+func decodeAfter(cursor string) (*rankKey, error) {
+	if cursor == "" {
+		return nil, nil
+	}
+	k, err := decodeCursor(cursor)
 	if err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
+	return &k, nil
+}
+
+// finish selects the page from the merged clusters and attaches
+// provenance — the tail Execute and MergePartials share.
+func finish(ctx context.Context, cs map[string]*cluster, pageSize int, after *rankKey, explain bool, st *ExecStats) *Result {
+	t0 := time.Now()
 	ssp := obs.Begin(ctx, "search.select")
-	res, keys, eligible := selectPage(clusters, req.PageSize, after)
+	res, winners, eligible := selectPage(cs, pageSize, after)
 	ssp.End()
-	st.Stage.Select = int64(time.Since(t0))
+	st.Stage.Select += int64(time.Since(t0))
 	st.AnswersBeforeTopK = eligible
-	if req.Explain && len(res.Answers) > 0 {
+	if explain && len(winners) > 0 {
 		t0 = time.Now()
 		esp := obs.Begin(ctx, "search.explain")
-		expl, err := e.explain(ctx, &p, cuts, keys)
+		for i, c := range winners {
+			res.Answers[i].Explanation = &Explanation{Sources: c.sources, Truncated: c.support - len(c.sources)}
+		}
 		esp.End()
-		st.Stage.Explain = int64(time.Since(t0))
-		if err != nil {
-			return nil, err
-		}
-		for i, key := range keys {
-			res.Answers[i].Explanation = expl[key]
-		}
+		st.Stage.Explain += int64(time.Since(t0))
 	}
 	res.Stats = st
-	return res, nil
+	return res
 }
 
 // basePair is one baseline candidate: a header-matched answer column and
@@ -275,8 +323,8 @@ type basePair struct{ c1, c2 searchidx.ColRef }
 
 // scanPlan is one execution's candidate schedule: the mode's ordered
 // candidate column pairs plus the prepared query matcher. The pair list
-// is built once per Execute and scanned either whole (serial) or in
-// contiguous shards (parallel); both walk it in the same order.
+// is built once per execution and scanned either whole (serial) or in
+// contiguous ranges (parallel).
 type scanPlan struct {
 	mode Mode
 	q    Query
@@ -318,9 +366,9 @@ func (e *Engine) plan(req Request) scanPlan {
 }
 
 // scanRange scans candidate pairs [lo, hi) of the plan into sink,
-// accumulating pair/row counters into sc (per-worker instances; the
+// accumulating pair/row counters into sc (per-range instances; the
 // caller sums them afterwards).
-func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink evidenceSink, sc *scanCounters) error {
+func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *rangeSink, sc *scanCounters) error {
 	if p.mode == Baseline {
 		return e.scanBaselineRange(ctx, p, lo, hi, sink, sc)
 	}
@@ -328,65 +376,46 @@ func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink ev
 }
 
 // selectPage picks the PageSize best-ranked clusters strictly after the
-// cursor, iterating the disjoint cluster maps the collect phase
-// produced (one per aggregation partition; one total on the serial
-// path — a cluster's rank is a total order, so the iteration layout
-// never shows in the page). With k > 0 it never sorts more than the k
-// retained entries. The second return value carries the cluster key of
-// each answer, for provenance attachment.
-// The third return value is the eligible count itself, for
-// ExecStats.AnswersBeforeTopK.
-func selectPage(parts []clusterSink, pageSize int, after *rankKey) (*Result, []string, int) {
-	res := &Result{}
-	for _, clusters := range parts {
-		res.Total += len(clusters)
-	}
+// cursor. With k > 0 it never sorts more than the k retained entries.
+// It also returns the page's clusters, for provenance attachment, and
+// the eligible count, for ExecStats.AnswersBeforeTopK.
+func selectPage(cs map[string]*cluster, pageSize int, after *rankKey) (*Result, []*cluster, int) {
+	res := &Result{Total: len(cs)}
 	eligible := 0
-	keyOf := func(c *cluster) rankKey {
-		return rankKey{score: c.score, support: c.support, text: c.text(), key: c.key}
-	}
 	var page []pageEntry
-	if pageSize == 0 {
-		for _, clusters := range parts {
-			for _, c := range clusters {
-				k := keyOf(c)
-				if after != nil && !after.before(k) {
-					continue
-				}
-				eligible++
-				page = append(page, pageEntry{c: c, key: k})
-			}
+	heap := newTopK(pageSize)
+	for _, c := range cs {
+		k := rankKey{score: c.score, support: c.support, text: c.text(), key: c.key}
+		if after != nil && !after.before(k) {
+			continue
 		}
+		eligible++
+		if pageSize == 0 {
+			page = append(page, pageEntry{c: c, key: k})
+		} else {
+			heap.offer(pageEntry{c: c, key: k})
+		}
+	}
+	if pageSize == 0 {
 		sort.Slice(page, func(i, j int) bool { return page[i].key.before(page[j].key) })
 	} else {
-		heap := newTopK(pageSize)
-		for _, clusters := range parts {
-			for _, c := range clusters {
-				k := keyOf(c)
-				if after != nil && !after.before(k) {
-					continue
-				}
-				eligible++
-				heap.offer(pageEntry{c: c, key: k})
-			}
-		}
 		page = heap.ranked()
 	}
 	res.Answers = make([]Answer, len(page))
-	keys := make([]string, len(page))
+	winners := make([]*cluster, len(page))
 	for i, pe := range page {
-		keys[i] = pe.c.key
+		winners[i] = pe.c
 		res.Answers[i] = Answer{
 			Text:    pe.key.text,
 			Entity:  pe.c.entity,
-			Score:   pe.c.score,
+			Score:   present(pe.c.score),
 			Support: pe.c.support,
 		}
 	}
 	if eligible > len(page) && len(page) > 0 {
 		res.NextCursor = encodeCursor(page[len(page)-1].key)
 	}
-	return res, keys, eligible
+	return res, winners, eligible
 }
 
 // baselinePairs implements the candidate retrieval of Figure 3:
@@ -413,10 +442,9 @@ func (e *Engine) baselinePairs(q Query) []basePair {
 			}
 		}
 	}
-	// HeaderMatches order follows token-map iteration, so sort the pairs:
-	// float evidence must sum in the same order on every Execute call or
-	// per-cluster scores drift by an ULP between the separate executions
-	// cursor pagination compares bit-exactly.
+	// HeaderMatches order follows token-map iteration, so sort the pairs
+	// into corpus order: results do not depend on it, but parallel scan
+	// ranges then cover contiguous tables and snap to segment edges.
 	sort.Slice(pairs, func(i, j int) bool {
 		a, b := pairs[i], pairs[j]
 		if a.c1.Table != b.c1.Table {
@@ -433,7 +461,7 @@ func (e *Engine) baselinePairs(q Query) []basePair {
 // scanBaselineRange runs the matching stage of Figure 3 over baseline
 // candidate pairs [lo, hi): look for E2 in the T2 column; report the
 // T1-column cells of qualifying rows keyed by normalized text.
-func (e *Engine) scanBaselineRange(ctx context.Context, pl *scanPlan, lo, hi int, sink evidenceSink, sc *scanCounters) error {
+func (e *Engine) scanBaselineRange(ctx context.Context, pl *scanPlan, lo, hi int, sink *rangeSink, sc *scanCounters) error {
 	for _, p := range pl.base[lo:hi] {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -453,7 +481,7 @@ func (e *Engine) scanBaselineRange(ctx context.Context, pl *scanPlan, lo, hi int
 			}
 			matched = true
 			loc1 := searchidx.CellLoc{Table: p.c1.Table, Row: r, Col: p.c1.Col}
-			sink.add(hit{loc: loc1, entity: catalog.None, evidence: sim})
+			sink.add(hit{loc: loc1, entity: catalog.None, units: quantize(sim)})
 		}
 		sc.pairs++
 		sc.rows += int64(rows)
@@ -479,8 +507,7 @@ func (e *Engine) annotatedPairs(q Query, requireRel bool) []searchidx.ColumnPair
 		}
 	} else {
 		// Type mode: subject types in ID order, each type's pairs in
-		// corpus order — the same candidate sequence whether the corpus
-		// is one index or many segments.
+		// corpus order.
 		for _, T := range e.c.SubjectTypes() {
 			if !e.cat.IsSubtype(T, q.T1) {
 				continue
@@ -499,7 +526,7 @@ func (e *Engine) annotatedPairs(q Query, requireRel bool) []searchidx.ColumnPair
 // candidate pairs [lo, hi): E2 is matched by entity annotation with text
 // fallback; evidence is keyed per entity (or per normalized text for
 // unannotated answer cells).
-func (e *Engine) scanAnnotatedRange(ctx context.Context, pl *scanPlan, lo, hi int, sink evidenceSink, sc *scanCounters) error {
+func (e *Engine) scanAnnotatedRange(ctx context.Context, pl *scanPlan, lo, hi int, sink *rangeSink, sc *scanCounters) error {
 	q := pl.q
 	for _, p := range pl.ann[lo:hi] {
 		if err := ctx.Err(); err != nil {
@@ -529,7 +556,7 @@ func (e *Engine) scanAnnotatedRange(ctx context.Context, pl *scanPlan, lo, hi in
 			}
 			matched = true
 			loc1 := searchidx.CellLoc{Table: p.Table, Row: r, Col: p.SubjCol}
-			sink.add(hit{loc: loc1, entity: e.c.EntityAt(loc1), evidence: evidence})
+			sink.add(hit{loc: loc1, entity: e.c.EntityAt(loc1), units: quantize(evidence)})
 		}
 		sc.pairs++
 		sc.rows += int64(rows)

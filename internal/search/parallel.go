@@ -1,48 +1,38 @@
-// Parallel sharded query execution.
+// Parallel query execution: one partial-and-merge pipeline.
 //
-// Execute's candidate ColumnPair list is partitioned into contiguous
-// shards and processed in two parallel phases:
+// Execute's candidate pair list is cut into contiguous ranges; each
+// range is scanned into its own per-cluster summaries (rangeSink), and
+// the summaries are merged (mergeInto). The serial path is the
+// one-range case. A shard server runs exactly the same code over its
+// slice of the corpus and ships the merged summaries to the router,
+// whose MergePartials uses the same merge step (partial.go).
 //
-//  1. Scan: a bounded worker pool walks each shard's pairs and rows,
-//     appending every matching (answer cell, evidence) pair to a
-//     shard-local log, bucketed by cluster partition (a hash of the
-//     cluster key). The hot scan path does no map work at all.
-//  2. Aggregate: one worker per partition replays, for every shard in
-//     fixed shard order, the log entries of its own partition through
-//     the ordinary clusterSink — exactly the add sequence the serial
-//     scan would have produced for those clusters.
+// Merging summaries reproduces the serial result exactly because every
+// part of a summary merges order-independently:
 //
-// The load-bearing property is byte-identical results: scores,
-// rankings, cursors and explanations must not depend on the parallelism
-// level, because pagination cursors compare scores bit-exactly across
-// separate executions (the same ULP discipline exec.go documents for
-// pair ordering). Floating-point addition is not associative, so
-// shard-local *partial sums* merged later would NOT reproduce the
-// serial left fold (((a+b)+c)+d differs from (a+b)+(c+d) by an ULP).
-// Replaying the logged evidence values per cluster — shards in order,
-// entries in scan order — reproduces the serial addition sequence
-// bit-for-bit, because a cluster's score only sums its own evidence and
-// every entry of one cluster lands in one partition. Partitioning is
-// therefore free parallelism for the aggregation stage: clusters are
-// independent of each other, and page selection consumes the partition
-// maps directly (a cluster's rank never depends on iteration order —
-// the rank key is a total order). The cost is O(matching rows) of log
-// memory during the scan; the rows were all visited anyway, and the
-// logs are dropped at aggregation time.
+//   - scores are fixed-point: each hit's evidence is quantized once to
+//     int64 units of 2⁻³² (ScoreScale), and integer sums do not depend
+//     on the order of addition (float sums do: (a+b)+c and a+(b+c) can
+//     differ in the last bit);
+//   - support and surface-form counts are integer sums, and the
+//     dominant form depends only on the final counts;
+//   - explanations keep the first MaxExplainSources sources in the
+//     canonical order (table, row, col, score), and the canonical prefix
+//     of a union is the canonical prefix of the parts' prefixes.
 //
-// Shard boundaries are a pure load-balancing choice — they never affect
-// results. The plan is over-partitioned (shardsPerWorker shards per
-// worker) and workers pull shards from a shared counter, so a shard
+// One hit is under 2³³ units, so an int64 score holds more than 2³⁰
+// hits per cluster. Presented scores are float64(units)/2³², exact
+// below 2⁵³ units; they differ from a float sum of the raw evidence in
+// the low-order digits.
+//
+// Range boundaries are a pure load-balancing choice — they never affect
+// results. The plan is over-partitioned (shardsPerWorker ranges per
+// worker) and workers pull ranges from a shared counter, so a range
 // with unusually large tables does not stall the pool. When the corpus
 // is segmented (segment.View implements SegmentedCorpus), interior
 // boundaries snap to the nearest segment edge within half an ideal
-// shard, so a shard's cells resolve against one segment's postings
+// range, so a range's cells resolve against one segment's postings
 // where possible.
-//
-// The explain pass parallelizes over the same shards with per-shard
-// provenance sinks pre-keyed by the page winners; concatenating them in
-// shard order preserves the serial SourceRef order and the exact
-// Truncated count.
 package search
 
 import (
@@ -52,9 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/obs"
-	"repro/internal/searchidx"
 )
 
 // shardsPerWorker over-partitions the candidate list so the worker pool
@@ -97,8 +85,8 @@ func (e *Engine) cuts(p *scanPlan) []int {
 // mode the pair list is only piecewise ascending — one run per subject
 // type — so a "segment transition" can occur in either direction;
 // either way it marks where a shard's locality changes.) Results never
-// depend on the cut positions (aggregation replays evidence exactly),
-// only locality does.
+// depend on the cut positions (summaries merge exactly), only locality
+// does.
 func shardCuts(n, shards int, tableOf func(int) int, segStarts []int) []int {
 	if shards > n {
 		shards = n
@@ -165,20 +153,19 @@ func abs(x int) int {
 	return x
 }
 
-// scanShards scans each shard [cuts[i], cuts[i+1]) into sinks[i] on a
-// pool of at most e.par workers. Workers pull shard indices from a
-// shared counter; which worker scans which shard never matters because
-// sinks are per-shard and consumed in index order. scs is parallel to
-// sinks: each shard's counters accumulate contention-free and the
-// caller sums them (integer addition — the totals are independent of
-// shard layout). The first scan error (in practice: the context's) is
-// returned after all workers stop.
-func (e *Engine) scanShards(ctx context.Context, p *scanPlan, cuts []int, sinks []evidenceSink, scs []scanCounters) error {
+// scanShards scans each range [cuts[i], cuts[i+1]) into sinks[i] on a
+// pool of at most e.par workers; a single range is scanned inline.
+// Workers pull range indices from a shared counter; which worker scans
+// which range never matters because sinks are per-range. scs is
+// parallel to sinks: each range's counters accumulate contention-free
+// and the caller sums them. The first scan error (in practice: the
+// context's) is returned after all workers stop.
+func (e *Engine) scanShards(ctx context.Context, p *scanPlan, cuts []int, sinks []*rangeSink, scs []scanCounters) error {
 	nShards := len(cuts) - 1
-	workers := e.par
-	if workers > nShards {
-		workers = nShards
+	if nShards == 1 {
+		return e.scanRange(ctx, p, cuts[0], cuts[1], sinks[0], &scs[0])
 	}
+	workers := min(e.par, nShards)
 	var (
 		next    atomic.Int64
 		wg      sync.WaitGroup
@@ -205,270 +192,46 @@ func (e *Engine) scanShards(ctx context.Context, p *scanPlan, cuts []int, sinks 
 	return scanErr
 }
 
-// collect aggregates the plan's evidence into answer clusters, serially
-// or via the two parallel phases; both produce identical clusters. cuts
-// comes from Engine.cuts, computed once per Execute and shared with the
-// explain pass. The result is a list of disjoint cluster maps (one per
-// partition; a single map on the serial path) whose union is the answer
-// set. Scan counters, stage times and the parallelism actually used
-// accumulate into st.
-func (e *Engine) collect(ctx context.Context, p *scanPlan, cuts []int, st *ExecStats) ([]clusterSink, error) {
-	if len(cuts) <= 2 {
-		// Serial path: scan and aggregation are one fused pass, so one
-		// span covers both stages.
-		t0 := time.Now()
-		sp := obs.Begin(ctx, "search.scan")
-		cc := clusterCollector{e: e, cs: clusterSink{}}
-		var sc scanCounters
-		err := e.scanRange(ctx, p, 0, p.len(), &cc, &sc)
-		sp.End()
-		st.Stage.Scan = int64(time.Since(t0))
-		st.add(&sc)
-		if err != nil {
-			return nil, err
-		}
-		return []clusterSink{cc.cs}, nil
+// collect scans the plan into per-range cluster summaries and merges
+// them into one cluster map. Scan counters, stage times and the
+// parallelism actually used accumulate into st; the aggregate stage
+// (and its span) exists only when there is more than one range.
+func (e *Engine) collect(ctx context.Context, p *scanPlan, explain bool, st *ExecStats) (map[string]*cluster, error) {
+	cuts := e.cuts(p)
+	sinks := make([]*rangeSink, len(cuts)-1)
+	for i := range sinks {
+		sinks[i] = newRangeSink(e, explain)
 	}
-	nParts := e.par
-	logs := make([]*shardLog, len(cuts)-1)
-	sinks := make([]evidenceSink, len(logs))
-	for i := range logs {
-		logs[i] = &shardLog{e: e, parts: make([][]*hitChunk, nParts)}
-		sinks[i] = logs[i]
-	}
-	scs := make([]scanCounters, len(logs))
-	st.Parallelism = e.par
-	if st.Parallelism > len(logs) {
-		st.Parallelism = len(logs)
+	scs := make([]scanCounters, len(sinks))
+	if len(sinks) > 1 {
+		st.Parallelism = min(e.par, len(sinks))
 	}
 	t0 := time.Now()
 	scanSp := obs.Begin(ctx, "search.scan")
 	err := e.scanShards(ctx, p, cuts, sinks, scs)
 	scanSp.End()
-	st.Stage.Scan = int64(time.Since(t0))
+	st.Stage.Scan += int64(time.Since(t0))
 	for i := range scs {
 		st.add(&scs[i])
 	}
 	if err != nil {
 		return nil, err
 	}
+	cs := sinks[0].cs
+	if len(sinks) == 1 {
+		return cs, nil
+	}
 	t0 = time.Now()
-	defer func() { st.Stage.Aggregate = int64(time.Since(t0)) }()
 	aggSp := obs.Begin(ctx, "search.aggregate")
 	defer aggSp.End()
-	// Phase 2: aggregate each partition's hits — shards in fixed order,
-	// entries in scan order — on its own worker. Every cluster lives in
-	// exactly one partition, so per-cluster this replays the serial add
-	// sequence bit-for-bit. Cancellation is polled per chunk, so the
-	// replay honors the same latency bound as the row loops.
-	parts := make([]clusterSink, nParts)
-	var wg sync.WaitGroup
-	for w := 0; w < nParts; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cc := clusterCollector{e: e, cs: clusterSink{}}
-			for _, lg := range logs {
-				for _, ch := range lg.parts[w] {
-					if ctx.Err() != nil {
-						return
-					}
-					for i := 0; i < ch.n; i++ {
-						cc.add(ch.recs[i].unpack())
-					}
-				}
-			}
-			parts[w] = cc.cs
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return parts, nil
-}
-
-// hitRec is a hit packed to 24 bytes for the scan logs (corpora are
-// bounded well below 2^31 tables, rows and columns).
-type hitRec struct {
-	table, row, col, entity int32
-	evidence                float64
-}
-
-func packHit(h hit) hitRec {
-	return hitRec{
-		table: int32(h.loc.Table), row: int32(h.loc.Row), col: int32(h.loc.Col),
-		entity: int32(h.entity), evidence: h.evidence,
-	}
-}
-
-func (r hitRec) unpack() hit {
-	return hit{
-		loc:      searchidx.CellLoc{Table: int(r.table), Row: int(r.row), Col: int(r.col)},
-		entity:   catalog.EntityID(r.entity),
-		evidence: r.evidence,
-	}
-}
-
-// logChunkSize is the records per log chunk: large enough to amortize
-// the chunk allocation, small enough that half-empty tail chunks waste
-// little.
-const logChunkSize = 512
-
-// hitChunk is one fixed-size block of logged hits. Chunks are allocated
-// exactly once and never copied (unlike an appended slice, which
-// re-copies on every doubling), and they contain no pointers, so the
-// logged megabytes are invisible to the garbage collector's scan phase.
-type hitChunk struct {
-	n    int
-	recs [logChunkSize]hitRec
-}
-
-// shardLog is the per-shard scan sink: the hit stream in scan order,
-// chunked and bucketed by cluster partition so aggregation can fan out.
-// Appending a packed record is the only work on the scan's hot path —
-// cluster keys, canonical names and raw texts are derived later by the
-// aggregation workers.
-type shardLog struct {
-	e     *Engine
-	parts [][]*hitChunk
-}
-
-func (sl *shardLog) add(h hit) {
-	w := sl.e.partitionOf(h, len(sl.parts))
-	chunks := sl.parts[w]
-	var c *hitChunk
-	if len(chunks) == 0 || chunks[len(chunks)-1].n == logChunkSize {
-		c = &hitChunk{}
-		sl.parts[w] = append(sl.parts[w], c)
-	} else {
-		c = chunks[len(chunks)-1]
-	}
-	c.recs[c.n] = packHit(h)
-	c.n++
-}
-
-// partitionOf assigns a hit's cluster to one of w aggregation
-// partitions: entity clusters hash their ID, text clusters their
-// precomputed normalized cell text (FNV-1a) — the same values resolveKey
-// derives keys from, so all hits of one cluster land in one partition.
-// Any deterministic function of the cluster identity works: results do
-// not depend on the partition layout, only aggregation balance does.
-func (e *Engine) partitionOf(h hit, w int) int {
-	if h.entity != catalog.None {
-		// Knuth's multiplicative hash spreads dense entity IDs.
-		return int((uint32(h.entity) * 2654435761) % uint32(w))
-	}
-	norm := e.c.NormCell(h.loc)
-	f := uint32(2166136261)
-	for i := 0; i < len(norm); i++ {
-		f = (f ^ uint32(norm[i])) * 16777619
-	}
-	return int(f % uint32(w))
-}
-
-// explain runs the winners-only provenance pass, serially or sharded
-// (over the same cuts the collect pass used); SourceRefs concatenate in
-// shard order, so provenance ordering matches the serial scan. The
-// re-scan's counters go to a scratch accumulator: ExecStats counts the
-// evidence scan once, so a merged result's totals stay exact sums of
-// the shards' (only the explain stage's duration is recorded, by the
-// caller).
-func (e *Engine) explain(ctx context.Context, p *scanPlan, cuts []int, keys []string) (map[string]*Explanation, error) {
-	if len(cuts) <= 2 {
-		es := explainSink{e: e, m: make(map[string]*Explanation, len(keys))}
-		for _, k := range keys {
-			es.m[k] = &Explanation{}
-		}
-		if err := e.scanRange(ctx, p, 0, p.len(), &es, &scanCounters{}); err != nil {
+	for _, s := range sinks[1:] {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return es.m, nil
-	}
-	// The winner set is shared read-only across shard sinks; each sink
-	// materializes a winner's entry only when the shard actually hits
-	// it, so total explain state stays proportional to the provenance
-	// recorded, not to shards × winners.
-	winners := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		winners[k] = struct{}{}
-	}
-	shards := make([]*shardExplainSink, len(cuts)-1)
-	sinks := make([]evidenceSink, len(shards))
-	for i := range shards {
-		s := &shardExplainSink{e: e, winners: winners, m: make(map[string]*shardExplain)}
-		shards[i] = s
-		sinks[i] = s
-	}
-	if err := e.scanShards(ctx, p, cuts, sinks, make([]scanCounters, len(shards))); err != nil {
-		return nil, err
-	}
-	return mergeExplainShards(keys, shards), nil
-}
-
-// shardExplain is one winner's shard-local provenance: at most
-// MaxExplainSources sources (the merge takes a prefix in shard order, so
-// deeper entries could never be presented anyway) plus the overflow
-// count, which keeps Truncated exact.
-type shardExplain struct {
-	sources  []SourceRef
-	overflow int
-}
-
-// shardExplainSink is the per-shard provenance sink: it records only
-// the page winners (the shared winner set filters everything else) and
-// creates a winner's entry lazily on its first hit in this shard.
-type shardExplainSink struct {
-	e       *Engine
-	winners map[string]struct{} // shared across shards; never written
-	m       map[string]*shardExplain
-}
-
-func (es *shardExplainSink) add(h hit) {
-	key, ok := es.e.resolveKey(h)
-	if !ok {
-		return
-	}
-	if _, win := es.winners[key]; !win {
-		return
-	}
-	ex := es.m[key]
-	if ex == nil {
-		ex = &shardExplain{}
-		es.m[key] = ex
-	}
-	if len(ex.sources) < MaxExplainSources {
-		ex.sources = append(ex.sources, h.src())
-	} else {
-		ex.overflow++
-	}
-}
-
-// mergeExplainShards concatenates per-shard provenance in shard order —
-// the serial scan order — capping Sources at MaxExplainSources and
-// counting the rest as Truncated, exactly as the serial explainSink
-// does.
-func mergeExplainShards(keys []string, shards []*shardExplainSink) map[string]*Explanation {
-	out := make(map[string]*Explanation, len(keys))
-	for _, k := range keys {
-		out[k] = &Explanation{}
-	}
-	for _, ss := range shards {
-		for _, k := range keys {
-			sx := ss.m[k]
-			if sx == nil { // no hits for this winner in this shard
-				continue
-			}
-			ex := out[k]
-			for _, src := range sx.sources {
-				if len(ex.Sources) < MaxExplainSources {
-					ex.Sources = append(ex.Sources, src)
-				} else {
-					ex.Truncated++
-				}
-			}
-			ex.Truncated += sx.overflow
+		for _, c := range s.cs {
+			mergeInto(cs, c)
 		}
 	}
-	return out
+	st.Stage.Aggregate += int64(time.Since(t0))
+	return cs, nil
 }

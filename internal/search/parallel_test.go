@@ -206,8 +206,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelExplainTruncation splits one high-support answer across
-// shards: the merged explanation must keep the first MaxExplainSources
-// sources in corpus order and count the remainder, exactly like the
+// ranges: the merged explanation must keep the first MaxExplainSources
+// sources in canonical order and count the remainder, exactly like the
 // serial pass.
 func TestParallelExplainTruncation(t *testing.T) {
 	// 40 tables × 3 rows of the same answer = 120 sources, far past the cap.
@@ -259,10 +259,10 @@ func TestParallelExplainTruncation(t *testing.T) {
 		t.Fatalf("sources=%d truncated=%d, want %d/%d",
 			len(ex.Sources), ex.Truncated, MaxExplainSources, 120-MaxExplainSources)
 	}
-	// Prefix property: sources are the corpus-order first cap entries.
+	// Prefix property: sources are the canonical-order first cap entries.
 	for i, src := range ex.Sources {
 		if want := i / 3; src.Table != want {
-			t.Fatalf("source %d from table %d, want %d (corpus order)", i, src.Table, want)
+			t.Fatalf("source %d from table %d, want %d (canonical order)", i, src.Table, want)
 		}
 	}
 }
@@ -463,16 +463,19 @@ func BenchmarkSearchParallel(b *testing.B) {
 // shows up as a large per-op jump here.
 func BenchmarkSelectPageDominantForm(b *testing.B) {
 	const clusters, variants = 5000, 40
-	cs := clusterSink{}
+	cs := make(map[string]*cluster)
 	for i := 0; i < clusters; i++ {
-		key := fmt.Sprintf("t:answer %d", i)
+		c := &cluster{key: fmt.Sprintf("t:answer %d", i), entity: catalog.None, variants: make(map[string]int)}
 		for v := 0; v < variants; v++ {
-			cs.insert(key, hit{entity: catalog.None, evidence: 0.5}, "", fmt.Sprintf("Answer %d v%d", i, v))
+			c.score += quantize(0.5)
+			c.support++
+			c.noteRaw(fmt.Sprintf("Answer %d v%d", i, v), 1)
 		}
+		cs[c.key] = c
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, _ := selectPage([]clusterSink{cs}, 10, nil)
+		res, _, _ := selectPage(cs, 10, nil)
 		if res.Total != clusters {
 			b.Fatal("bad total")
 		}

@@ -1,34 +1,21 @@
-// Partial-evidence execution for distributed serving.
+// Partial execution for distributed serving.
 //
 // A shard server owns a contiguous run of corpus segments and therefore
 // a contiguous range of global table numbers. ExecutePartial runs the
-// ordinary candidate scan over the shard's subset view but, instead of
-// folding evidence into scores, exports each answer cluster's ordered
-// hit list — the same pointer-free (table, row, col, evidence) records
-// the in-process parallel scan logs (parallel.go), grouped the way the
-// serial scan orders its candidate pairs. MergePartials replays those
-// lists — groups in key order, shards in shard order, hits in scan
-// order — through the ordinary cluster aggregation, reproducing the
-// single-node serial left fold bit-for-bit. Per-cluster *partial sums*
-// would not: floating-point addition is not associative, and pagination
-// cursors compare scores bit-exactly across separate executions.
+// ordinary pipeline over the shard's view — scan ranges into
+// per-cluster summaries, merge them — and exports the merged summaries
+// instead of a ranked page: one PartialGroup per answer cluster.
+// MergePartials sums the shards' summaries with the same merge step the
+// in-process pipeline uses (parallel.go) and selects the page with the
+// same selectPage. Because scores are fixed-point units (ScoreScale),
+// a cluster's merged score, support, dominant surface form and
+// canonical sources do not depend on how the corpus was split, so the
+// merged page equals a single node's.
 //
-// Grouping is what makes the shard-major concatenation correct in every
-// mode. Baseline and TypeRel scan candidate pairs in ascending global
-// table order, so one group per request suffices: shard hit lists
-// concatenated in shard order are already in corpus order. Type mode is
-// type-major — subject types ascending, each type's pairs in corpus
-// order — so a cluster fed by two subject types interleaves across the
-// type runs, not across tables. One group per subject type restores the
-// serial order: replay group keys ascending, and within each group the
-// shards in order.
-//
-// Cluster identity travels on the wire so the merger needs no catalog:
-// entity clusters carry their ID and canonical name (identical on every
-// shard — all shards load the same frozen catalog), text clusters carry
-// their normalized key and raw-form counts (merged additively; the
-// dominant form depends only on final counts, so shard-wise merging
-// lands on the single-node presentation).
+// Cluster identity travels with each summary so the merger needs no
+// catalog: entity clusters carry their ID and canonical name (identical
+// on every shard — all shards load the same frozen catalog), text
+// clusters carry their normalized key and raw-form counts.
 package search
 
 import (
@@ -39,30 +26,18 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/obs"
-	"repro/internal/searchidx"
 )
 
-// PartialHit is one matching answer cell a shard exports: the
-// corpus-global table number (the shard applies its table offset), the
-// cell address, and the evidence the row contributed. 24 bytes,
-// pointer-free — the same record shape as the in-process scan logs.
-type PartialHit struct {
-	Table, Row, Col int32
-	Evidence        float64
-}
-
 // Variant is one raw surface form of a text cluster with its occurrence
-// count within the shard.
+// count.
 type Variant struct {
 	Raw   string
 	Count int
 }
 
-// ClusterPartial is one answer cluster's evidence within one shard:
-// identity, the hit list in the shard's serial scan order, and (for
-// text clusters) the raw-form counts behind the dominant-form choice.
-type ClusterPartial struct {
+// PartialGroup is one answer cluster's summary over a shard's slice of
+// the corpus.
+type PartialGroup struct {
 	// Entity identifies entity clusters; catalog.None for text clusters.
 	Entity catalog.EntityID
 	// Norm is the text cluster's normalized aggregation key (empty for
@@ -71,31 +46,26 @@ type ClusterPartial struct {
 	// Canonical is the entity's catalog name (empty for text clusters),
 	// carried so the merger can present answers without a catalog.
 	Canonical string
-	// Hits is the cluster's evidence in scan order.
-	Hits []PartialHit
+	// Score is the cluster's evidence in units of 1/ScoreScale.
+	Score int64
+	// Support counts the cluster's contributing rows.
+	Support int
 	// Variants counts the cluster's raw surface forms, ascending by Raw
 	// (text clusters only).
 	Variants []Variant
+	// Sources is the cluster's provenance when the request explains: at
+	// most MaxExplainSources sources in canonical order, with
+	// cluster-global table numbers.
+	Sources []SourceRef
 }
 
 // Key returns the cluster's aggregation key, matching the single-node
-// "e:<id>" / "t:<norm>" identity.
-func (cp *ClusterPartial) Key() string {
-	if cp.Entity != catalog.None {
-		return "e:" + strconv.Itoa(int(cp.Entity))
+// "e:<id>" / "t:<norm>" identity. A shard's groups ascend by Key.
+func (g *PartialGroup) Key() string {
+	if g.Entity != catalog.None {
+		return "e:" + strconv.Itoa(int(g.Entity))
 	}
-	return "t:" + cp.Norm
-}
-
-// PartialGroup is one replay unit of a shard's partial evidence. Key is
-// 0 for Baseline and TypeRel (one group per request) and the subject
-// TypeID in Type mode (one group per matching subject type). Groups are
-// ascending by Key; clusters within a group are in a deterministic
-// order (entity clusters by ID, then text clusters by norm) so the
-// shard's encoded response is reproducible.
-type PartialGroup struct {
-	Key      uint32
-	Clusters []ClusterPartial
+	return "t:" + g.Norm
 }
 
 // ValidateCursor checks that s is a well-formed pagination cursor
@@ -103,363 +73,100 @@ type PartialGroup struct {
 // as Execute would report it. An empty cursor is valid (start at the
 // top). Routers use it to reject bad cursors before fanning out.
 func ValidateCursor(s string) error {
-	if s == "" {
-		return nil
-	}
-	_, err := decodeCursor(s)
+	_, err := decodeAfter(s)
 	return err
 }
 
-// ExecutePartial runs req's candidate scan over this engine's corpus —
-// a shard's subset view — and exports the evidence as partial groups
-// instead of a ranked page. tableOffset is the number of live tables
-// owned by preceding shards; it shifts hit table numbers into the
+// ExecutePartial runs req over this engine's corpus — a shard's subset
+// view — and exports the merged cluster summaries instead of a ranked
+// page, ascending by Key. tableOffset is the number of live tables
+// owned by preceding shards; it shifts source table numbers into the
 // cluster-global numbering so merged explanations match a single node.
-// PageSize, Cursor and Explain are ignored (they are merge-time
-// concerns); the request is otherwise validated as Execute validates
-// it. Groups with no hits are omitted.
+// PageSize and Cursor are ignored (they are merge-time concerns); the
+// request is otherwise validated as Execute validates it, and Explain
+// makes each summary carry its sources.
 //
-// The returned ExecStats carries the shard-local scan cost (pairs,
-// rows, segments, scan/plan/validate time); the merge-side stages
-// (aggregate, select, explain) happen in MergePartials, which sums the
-// shard stats and adds its own.
+// The returned ExecStats carries the shard-local cost (pairs, rows,
+// segments, validate/plan/scan/aggregate time); select and explain
+// happen in MergePartials, which sums the shard stats and adds its own.
 func (e *Engine) ExecutePartial(ctx context.Context, req Request, tableOffset int) ([]PartialGroup, *ExecStats, error) {
-	st := &ExecStats{Parallelism: 1}
-	e.viewCounts(st)
-	t0 := time.Now()
-	vsp := obs.Begin(ctx, "search.validate")
-	err := req.Validate()
-	vsp.End()
-	st.Stage.Validate = int64(time.Since(t0))
+	st, p, err := e.start(ctx, req)
 	if err != nil {
 		return nil, nil, err
 	}
-	// One scan span covers the whole partial-evidence pass (including
-	// the per-type loop in Type mode): the shard has no aggregate or
-	// page-select stage — those happen at the router's merge.
-	sp := obs.Begin(ctx, "search.scan")
-	defer sp.End()
-	if req.Mode != Type {
-		t0 = time.Now()
-		p := e.plan(req)
-		st.Stage.Plan = int64(time.Since(t0))
-		clusters, err := e.collectPartial(ctx, &p, tableOffset, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(clusters) == 0 {
-			return nil, st, nil
-		}
-		return []PartialGroup{{Key: 0, Clusters: clusters}}, st, nil
-	}
-	// Type mode: one group per matching subject type, types ascending —
-	// the serial scan's type-major pair order, reified so the merger can
-	// interleave shards within a type run instead of across runs. The
-	// per-type planning time folds into the scan stage, like the fused
-	// span above.
-	q := req.Query
-	m := newQueryMatcher(q.E2Text)
-	var groups []PartialGroup
-	for _, T := range e.c.SubjectTypes() {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if !e.cat.IsSubtype(T, q.T1) {
-			continue
-		}
-		var pairs []searchidx.ColumnPair
-		for _, p := range e.c.TypedPairsOf(T) {
-			if p.ObjType != catalog.None && e.cat.IsSubtype(p.ObjType, q.T2) {
-				pairs = append(pairs, p)
-			}
-		}
-		if len(pairs) == 0 {
-			continue
-		}
-		p := scanPlan{mode: Type, q: q, m: m, ann: pairs}
-		clusters, err := e.collectPartial(ctx, &p, tableOffset, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(clusters) > 0 {
-			groups = append(groups, PartialGroup{Key: uint32(T), Clusters: clusters})
-		}
-	}
-	return groups, st, nil
-}
-
-// partialAccum accumulates one cluster's partial evidence while a scan
-// runs.
-type partialAccum struct {
-	entity   catalog.EntityID
-	norm     string
-	hits     []PartialHit
-	variants map[string]int
-}
-
-// partialCollector is the evidenceSink that builds ClusterPartials: it
-// resolves each hit's cluster identity and appends the hit — shifted to
-// cluster-global table numbers — to that cluster's list, preserving add
-// order (the scan order of whatever range feeds it).
-type partialCollector struct {
-	e      *Engine
-	offset int32
-	m      map[string]*partialAccum
-	order  []string // first-appearance key order (iteration determinism)
-}
-
-func (pc *partialCollector) add(h hit) {
-	key, ok := pc.e.resolveKey(h)
-	if !ok {
-		return
-	}
-	a := pc.m[key]
-	if a == nil {
-		a = &partialAccum{entity: h.entity}
-		if h.entity == catalog.None {
-			a.norm = pc.e.c.NormCell(h.loc)
-			a.variants = make(map[string]int)
-		}
-		pc.m[key] = a
-		pc.order = append(pc.order, key)
-	}
-	a.hits = append(a.hits, PartialHit{
-		Table:    int32(h.loc.Table) + pc.offset,
-		Row:      int32(h.loc.Row),
-		Col:      int32(h.loc.Col),
-		Evidence: h.evidence,
-	})
-	if a.variants != nil {
-		a.variants[pc.e.c.RawCell(h.loc)]++
-	}
-}
-
-// collectPartial scans one plan into ClusterPartials, serially or via
-// the same two-phase shard/replay machinery the in-process parallel
-// scan uses — each cluster's partition replays shards in order, so its
-// hit list comes out in serial scan order either way. Counters, scan
-// time and parallelism accumulate into st (Type mode calls this once
-// per subject type, so everything adds rather than assigns).
-func (e *Engine) collectPartial(ctx context.Context, p *scanPlan, tableOffset int, st *ExecStats) ([]ClusterPartial, error) {
-	pc := &partialCollector{e: e, offset: int32(tableOffset), m: make(map[string]*partialAccum)}
-	cuts := e.cuts(p)
-	if len(cuts) <= 2 {
-		var sc scanCounters
-		t0 := time.Now()
-		err := e.scanRange(ctx, p, 0, p.len(), pc, &sc)
-		st.Stage.Scan += int64(time.Since(t0))
-		st.add(&sc)
-		if err != nil {
-			return nil, err
-		}
-		return pc.finish(), nil
-	}
-	logs := make([]*shardLog, len(cuts)-1)
-	sinks := make([]evidenceSink, len(logs))
-	for i := range logs {
-		logs[i] = &shardLog{e: e, parts: make([][]*hitChunk, e.par)}
-		sinks[i] = logs[i]
-	}
-	if used := min(e.par, len(logs)); used > st.Parallelism {
-		st.Parallelism = used
-	}
-	scs := make([]scanCounters, len(logs))
-	t0 := time.Now()
-	err := e.scanShards(ctx, p, cuts, sinks, scs)
-	st.Stage.Scan += int64(time.Since(t0))
-	for i := range scs {
-		st.add(&scs[i])
-	}
+	cs, err := e.collect(ctx, p, req.Explain, st)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Replay partitions into one collector: every cluster lives in
-	// exactly one partition, and within it the chunks replay shards in
-	// order, entries in scan order — so each cluster's hit list is the
-	// serial order regardless of partition layout.
-	t0 = time.Now()
-	for w := 0; w < e.par; w++ {
-		for _, lg := range logs {
-			for _, ch := range lg.parts[w] {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				for i := 0; i < ch.n; i++ {
-					pc.add(ch.recs[i].unpack())
-				}
-			}
-		}
+	keys := make([]string, 0, len(cs))
+	for k := range cs {
+		keys = append(keys, k)
 	}
-	st.Stage.Aggregate += int64(time.Since(t0))
-	return pc.finish(), nil
+	sort.Strings(keys)
+	out := make([]PartialGroup, len(keys))
+	for i, k := range keys {
+		out[i] = cs[k].partial(tableOffset)
+	}
+	return out, st, nil
 }
 
-// finish materializes the collected clusters in the wire order: entity
-// clusters ascending by ID, then text clusters ascending by norm, with
-// each cluster's variants ascending by raw form. The order is purely a
-// determinism contract for the encoded bytes — merged results never
-// depend on it (cluster rank is a total order).
-func (pc *partialCollector) finish() []ClusterPartial {
-	out := make([]ClusterPartial, 0, len(pc.order))
-	for _, key := range pc.order {
-		a := pc.m[key]
-		cp := ClusterPartial{Entity: a.entity, Norm: a.norm, Hits: a.hits}
-		if a.entity != catalog.None {
-			cp.Canonical = pc.e.cat.EntityName(a.entity)
-		} else {
-			cp.Variants = make([]Variant, 0, len(a.variants))
-			for raw, n := range a.variants {
-				cp.Variants = append(cp.Variants, Variant{Raw: raw, Count: n})
-			}
-			sort.Slice(cp.Variants, func(i, j int) bool { return cp.Variants[i].Raw < cp.Variants[j].Raw })
+// partial exports the cluster as a PartialGroup, shifting source table
+// numbers by tableOffset.
+func (c *cluster) partial(tableOffset int) PartialGroup {
+	g := PartialGroup{Entity: c.entity, Canonical: c.canonical, Score: c.score, Support: c.support}
+	if c.entity == catalog.None {
+		g.Norm = c.key[len("t:"):]
+		g.Variants = make([]Variant, 0, len(c.variants))
+		for raw, n := range c.variants {
+			g.Variants = append(g.Variants, Variant{Raw: raw, Count: n})
 		}
-		out = append(out, cp)
+		sort.Slice(g.Variants, func(i, j int) bool { return g.Variants[i].Raw < g.Variants[j].Raw })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		aText, bText := a.Entity == catalog.None, b.Entity == catalog.None
-		if aText != bText {
-			return !aText
-		}
-		if !aText {
-			return a.Entity < b.Entity
-		}
-		return a.Norm < b.Norm
-	})
-	return out
+	for _, s := range c.sources {
+		s.Table += tableOffset
+		g.Sources = append(g.Sources, s)
+	}
+	return g
 }
 
-// noteRawN merges n occurrences of a raw surface form at once,
-// preserving noteRaw's dominant-form invariant (which depends only on
-// final counts, so shard-wise merging is order-independent).
-func (c *cluster) noteRawN(raw string, n int) {
-	if n <= 0 {
-		return
-	}
-	total := c.variants[raw] + n
-	c.variants[raw] = total
-	if total > c.bestN || (total == c.bestN && raw < c.bestText) {
-		c.bestText, c.bestN = raw, total
-	}
-}
-
-// MergePartials merges per-shard partial evidence into one result page,
-// byte-identical to a single-node Execute over the concatenated corpus:
-// for each group key ascending (union across shards), each shard's
-// cluster partials replay in shard order, so every cluster's score sums
-// its evidence in exactly the serial scan order. Page selection,
-// cursors and totals then run on the merged clusters through the same
-// machinery Execute uses. With explain set, a winners-only second pass
-// over the (in-memory) partials assembles provenance in the same order,
-// capped at MaxExplainSources with an exact Truncated count.
+// MergePartials merges per-shard cluster summaries into one result
+// page, identical to a single-node Execute over the whole corpus: the
+// summaries are summed per cluster, then page selection, cursors,
+// totals and explanations run through the same code Execute uses. The
+// inputs are not modified.
 //
-// shards must be ordered by shard index (ascending table ranges); a
-// shard with no matching evidence contributes an empty group list.
-// shardStats carries each shard's ExecStats in the same order (entries
-// may be zero-valued when a shard reported none, e.g. a WTPART v1
-// payload); the merged Result.Stats sums them and adds the merge's own
-// aggregate/select/explain time.
+// shards holds each shard's groups (a shard with no matching evidence
+// contributes none); their order does not matter. shardStats carries
+// each shard's ExecStats; the merged Result.Stats sums them and adds the
+// merge's own aggregate/select/explain time.
 func MergePartials(shards [][]PartialGroup, shardStats []ExecStats, pageSize int, cursor string, explain bool) (*Result, error) {
 	if pageSize < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrInvalidPageSize, pageSize)
 	}
-	var after *rankKey
-	if cursor != "" {
-		k, err := decodeCursor(cursor)
-		if err != nil {
-			return nil, err
-		}
-		after = &k
+	after, err := decodeAfter(cursor)
+	if err != nil {
+		return nil, err
 	}
 	st := MergeExecStats(shardStats)
 	t0 := time.Now()
-	groupKeys := mergedGroupKeys(shards)
-	cs := clusterSink{}
-	replayPartials(shards, groupKeys, func(cp *ClusterPartial) {
-		key := cp.Key()
-		c := cs[key]
-		if c == nil {
-			c = &cluster{key: key, entity: cp.Entity, canonical: cp.Canonical}
-			if cp.Entity == catalog.None {
-				c.variants = make(map[string]int)
-			}
-			cs[key] = c
-		}
-		for _, h := range cp.Hits {
-			c.score += h.Evidence
-		}
-		c.support += len(cp.Hits)
-		for _, v := range cp.Variants {
-			c.noteRawN(v.Raw, v.Count)
-		}
-	})
-	st.Stage.Aggregate += int64(time.Since(t0))
-	t0 = time.Now()
-	res, keys, eligible := selectPage([]clusterSink{cs}, pageSize, after)
-	st.Stage.Select += int64(time.Since(t0))
-	st.AnswersBeforeTopK = eligible
-	t0 = time.Now()
-	if explain && len(res.Answers) > 0 {
-		expl := make(map[string]*Explanation, len(keys))
-		for _, k := range keys {
-			expl[k] = &Explanation{}
-		}
-		replayPartials(shards, groupKeys, func(cp *ClusterPartial) {
-			ex := expl[cp.Key()]
-			if ex == nil {
-				return
-			}
-			for _, h := range cp.Hits {
-				if len(ex.Sources) < MaxExplainSources {
-					ex.Sources = append(ex.Sources, SourceRef{
-						Table: int(h.Table), Row: int(h.Row), Col: int(h.Col), Score: h.Evidence,
-					})
-				} else {
-					ex.Truncated++
-				}
-			}
-		})
-		for i, key := range keys {
-			res.Answers[i].Explanation = expl[key]
-		}
-	}
-	st.Stage.Explain += int64(time.Since(t0))
-	res.Stats = &st
-	return res, nil
-}
-
-// mergedGroupKeys returns the ascending union of every shard's group
-// keys — the replay schedule's outer order.
-func mergedGroupKeys(shards [][]PartialGroup) []uint32 {
-	seen := make(map[uint32]struct{})
-	var keys []uint32
+	cs := make(map[string]*cluster)
 	for _, groups := range shards {
 		for i := range groups {
-			k := groups[i].Key
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
+			g := &groups[i]
+			c := &cluster{
+				key: g.Key(), entity: g.Entity, canonical: g.Canonical,
+				score: g.Score, support: g.Support,
+				sources: append([]SourceRef(nil), g.Sources...),
 			}
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// replayPartials visits every cluster partial in the serial-equivalent
-// order: group keys ascending, shards in index order within a group,
-// clusters in their shard's encoded order.
-func replayPartials(shards [][]PartialGroup, groupKeys []uint32, visit func(*ClusterPartial)) {
-	for _, gk := range groupKeys {
-		for _, groups := range shards {
-			for i := range groups {
-				if groups[i].Key != gk {
-					continue
-				}
-				for ci := range groups[i].Clusters {
-					visit(&groups[i].Clusters[ci])
+			if g.Entity == catalog.None {
+				c.variants = make(map[string]int, len(g.Variants))
+				for _, v := range g.Variants {
+					c.noteRaw(v.Raw, v.Count)
 				}
 			}
+			mergeInto(cs, c)
 		}
 	}
+	st.Stage.Aggregate += int64(time.Since(t0))
+	return finish(context.Background(), cs, pageSize, after, explain, &st), nil
 }

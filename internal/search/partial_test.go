@@ -17,12 +17,12 @@ import (
 // partialFixture builds a corpus shaped to stress every distributed-merge
 // path and returns the raw tables and annotations so callers can slice
 // contiguous shard subsets. Two subject types (Film, Novel ⊆ Work)
-// alternate table-by-table, so Type mode produces multiple partial
-// groups that interleave across shards; answers mix one entity cluster
-// with several text clusters whose spelling variants (and therefore the
-// dominant surface form) only settle across shard boundaries; the top
-// answers carry more sources than MaxExplainSources, so explanation
-// truncation crosses shards too.
+// alternate table-by-table, so Type mode scans type-major rather than
+// table-major; answers mix one entity cluster with several text
+// clusters whose spelling variants (and therefore the dominant surface
+// form) only settle across shard boundaries; the top answers carry more
+// sources than MaxExplainSources, so explanation truncation crosses
+// shards too.
 func partialFixture(t testing.TB, nTables, rowsPerTable int) (*catalog.Catalog, []*table.Table, []*core.Annotation, Query) {
 	t.Helper()
 	must := func(err error) {
@@ -159,7 +159,9 @@ func TestMergePartialsMatchesExecute(t *testing.T) {
 		for _, cuts := range splits {
 			engines, offsets := shardEngines(t, c, tables, anns, cuts, par)
 			for _, mode := range []Mode{Baseline, Type, TypeRel} {
-				partials, shardStats := collectPartials(t, engines, offsets, Request{Query: q, Mode: mode})
+				// Shards collect sources only when asked; the router forwards
+				// the client's request, Explain included.
+				partials, shardStats := collectPartials(t, engines, offsets, Request{Query: q, Mode: mode, Explain: true})
 				for _, pageSize := range []int{0, 1, 4, 100} {
 					cursor := ""
 					for page := 0; page < 30; page++ {
@@ -212,50 +214,45 @@ func TestMergePartialsMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestExecutePartialTypeGroups pins the grouping contract: Type mode
-// exports one group per matching subject type with keys strictly
-// ascending (the serial type-major order), while Baseline and TypeRel
-// export at most one group with key 0.
-func TestExecutePartialTypeGroups(t *testing.T) {
+// TestExecutePartialClusterOrder pins the partial shape: in every mode
+// a shard exports one summary per answer cluster, keys strictly
+// ascending (the order the WTPART decoder enforces), covering exactly
+// the clusters a single node ranks.
+func TestExecutePartialClusterOrder(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 12, 5)
 	eng := NewEngineOver(searchidx.New(c, tables, anns))
 	ctx := context.Background()
-
-	groups, _, err := eng.ExecutePartial(ctx, Request{Query: q, Mode: Type}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) < 2 {
-		t.Fatalf("Type mode exported %d groups, want >= 2 (one per subject type)", len(groups))
-	}
-	for i := 1; i < len(groups); i++ {
-		if groups[i].Key <= groups[i-1].Key {
-			t.Fatalf("group keys not strictly ascending: %d then %d", groups[i-1].Key, groups[i].Key)
-		}
-	}
-	for _, mode := range []Mode{Baseline, TypeRel} {
+	for _, mode := range []Mode{Baseline, Type, TypeRel} {
 		groups, _, err := eng.ExecutePartial(ctx, Request{Query: q, Mode: mode}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(groups) != 1 || groups[0].Key != 0 {
-			t.Fatalf("%v exported %d groups (first key %d), want one group with key 0",
-				mode, len(groups), groups[0].Key)
+		res, err := eng.Execute(ctx, Request{Query: q, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) != res.Total || len(groups) < 2 {
+			t.Fatalf("%v: %d groups, want one per cluster (%d, at least 2)", mode, len(groups), res.Total)
+		}
+		for i := 1; i < len(groups); i++ {
+			if groups[i].Key() <= groups[i-1].Key() {
+				t.Fatalf("%v: keys not strictly ascending: %q then %q", mode, groups[i-1].Key(), groups[i].Key())
+			}
 		}
 	}
 }
 
 // TestExecutePartialDeterministic pins the wire-determinism contract: a
 // parallel shard engine exports byte-identical partial groups to a
-// serial one (cluster order, hit order, variant order), and repeated
-// calls are stable.
+// serial one (cluster order, scores, variant order, sources), and
+// repeated calls are stable.
 func TestExecutePartialDeterministic(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 16, 6)
 	serial := NewEngineOver(searchidx.New(c, tables, anns))
 	parallel := NewEngineOver(searchidx.New(c, tables, anns), WithParallelism(4))
 	ctx := context.Background()
 	for _, mode := range []Mode{Baseline, Type, TypeRel} {
-		req := Request{Query: q, Mode: mode}
+		req := Request{Query: q, Mode: mode, Explain: true}
 		want, _, err := serial.ExecutePartial(ctx, req, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -273,25 +270,28 @@ func TestExecutePartialDeterministic(t *testing.T) {
 }
 
 // TestExecutePartialAppliesOffset checks that the table offset shifts
-// every exported hit into the cluster-global numbering.
+// every exported source into the cluster-global numbering.
 func TestExecutePartialAppliesOffset(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 4, 3)
 	eng := NewEngineOver(searchidx.New(c, tables, anns))
-	base, _, err := eng.ExecutePartial(context.Background(), Request{Query: q, Mode: TypeRel}, 0)
+	req := Request{Query: q, Mode: TypeRel, Explain: true}
+	base, _, err := eng.ExecutePartial(context.Background(), req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shifted, _, err := eng.ExecutePartial(context.Background(), Request{Query: q, Mode: TypeRel}, 100)
+	shifted, _, err := eng.ExecutePartial(context.Background(), req, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for gi := range base {
-		for ci := range base[gi].Clusters {
-			for hi, h := range base[gi].Clusters[ci].Hits {
-				sh := shifted[gi].Clusters[ci].Hits[hi]
-				if sh.Table != h.Table+100 || sh.Row != h.Row || sh.Col != h.Col || sh.Evidence != h.Evidence {
-					t.Fatalf("hit %d/%d/%d: offset not applied: %+v vs %+v", gi, ci, hi, sh, h)
-				}
+		if len(base[gi].Sources) == 0 {
+			t.Fatalf("group %d: no sources", gi)
+		}
+		for si, src := range base[gi].Sources {
+			sh := shifted[gi].Sources[si]
+			src.Table += 100
+			if sh != src {
+				t.Fatalf("source %d/%d: offset not applied: %+v vs %+v", gi, si, sh, src)
 			}
 		}
 	}
@@ -356,25 +356,101 @@ func TestMergePartialsEmpty(t *testing.T) {
 
 // TestNoteRawNMatchesNoteRaw checks the batched variant merge lands on
 // the same dominant form as one-at-a-time accumulation regardless of
-// arrival order — the invariant that makes shard-wise variant counts
-// mergeable.
+// arrival order — the invariant that makes range-wise and shard-wise
+// variant counts mergeable.
 func TestNoteRawNMatchesNoteRaw(t *testing.T) {
 	serial := &cluster{variants: make(map[string]int)}
 	for _, raw := range []string{"b", "a", "b", "c", "a", "a"} {
-		serial.noteRaw(raw)
+		serial.noteRaw(raw, 1)
 	}
 	merged := &cluster{variants: make(map[string]int)}
 	// Same multiset, different order and batching (shard 2 before shard 1).
-	merged.noteRawN("c", 1)
-	merged.noteRawN("a", 2)
-	merged.noteRawN("b", 2)
-	merged.noteRawN("a", 1)
-	merged.noteRawN("zero", 0) // no-op
+	merged.noteRaw("c", 1)
+	merged.noteRaw("a", 2)
+	merged.noteRaw("b", 2)
+	merged.noteRaw("a", 1)
+	merged.noteRaw("zero", 0) // no-op
 	if merged.bestText != serial.bestText || merged.bestN != serial.bestN {
 		t.Fatalf("dominant form diverges: merged %q/%d, serial %q/%d",
 			merged.bestText, merged.bestN, serial.bestText, serial.bestN)
 	}
 	if !reflect.DeepEqual(merged.variants, serial.variants) {
 		t.Fatalf("variant counts diverge: %v vs %v", merged.variants, serial.variants)
+	}
+}
+
+// TestExplanationInvariants checks every explanation on every execution
+// path — serial, parallelism 2, 3 and 16, and 1-, 2- and 3-shard merges
+// — in all three modes: Truncated is Support minus the sources shown,
+// sources ascend in canonical order, and an untruncated explanation's
+// source scores sum exactly to the answer's score.
+func TestExplanationInvariants(t *testing.T) {
+	c, tables, anns, q := partialFixture(t, 24, 7)
+	ix := searchidx.New(c, tables, anns)
+	ctx := context.Background()
+	n := len(tables)
+	type path struct {
+		name string
+		exec func(Request) *Result
+	}
+	var paths []path
+	for _, par := range []int{1, 2, 3, 16} {
+		eng := NewEngineOver(ix, WithParallelism(par))
+		paths = append(paths, path{fmt.Sprintf("par=%d", par), func(req Request) *Result {
+			res, err := eng.Execute(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}})
+	}
+	for _, cuts := range [][]int{{n}, {10, n}, {5, 17, n}} {
+		engines, offsets := shardEngines(t, c, tables, anns, cuts, 1)
+		paths = append(paths, path{fmt.Sprintf("shards=%d", len(cuts)), func(req Request) *Result {
+			partials, stats := collectPartials(t, engines, offsets, req)
+			res, err := MergePartials(partials, stats, req.PageSize, req.Cursor, req.Explain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}})
+	}
+	sawTruncated, sawWhole := false, false
+	for _, p := range paths {
+		for _, mode := range []Mode{Baseline, Type, TypeRel} {
+			res := p.exec(Request{Query: q, Mode: mode, Explain: true})
+			if len(res.Answers) == 0 {
+				t.Fatalf("%s %v: no answers", p.name, mode)
+			}
+			for _, a := range res.Answers {
+				ex := a.Explanation
+				if ex.Truncated != a.Support-len(ex.Sources) {
+					t.Fatalf("%s %v %q: truncated %d, support %d, %d sources",
+						p.name, mode, a.Text, ex.Truncated, a.Support, len(ex.Sources))
+				}
+				for i := 1; i < len(ex.Sources); i++ {
+					if ex.Sources[i].before(ex.Sources[i-1]) {
+						t.Fatalf("%s %v %q: sources out of canonical order at %d: %+v",
+							p.name, mode, a.Text, i, ex.Sources)
+					}
+				}
+				if ex.Truncated > 0 {
+					sawTruncated = true
+					continue
+				}
+				sawWhole = true
+				sum := 0.0
+				for _, src := range ex.Sources {
+					sum += src.Score
+				}
+				if sum != a.Score {
+					t.Fatalf("%s %v %q: source scores sum to %v, answer score %v",
+						p.name, mode, a.Text, sum, a.Score)
+				}
+			}
+		}
+	}
+	if !sawTruncated || !sawWhole {
+		t.Fatalf("fixture lacks truncated (%v) or whole (%v) explanations", sawTruncated, sawWhole)
 	}
 }

@@ -1,11 +1,11 @@
 package search
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Sentinel errors of the request surface; test with errors.Is.
@@ -81,12 +81,14 @@ func (req Request) Validate() error {
 const MaxExplainSources = 16
 
 // Explanation is the provenance of one answer: which table cells
-// contributed evidence, in corpus scan order.
+// contributed evidence, in the canonical order (table, row, col,
+// score).
 type Explanation struct {
-	// Sources lists contributing answer cells (at most
-	// MaxExplainSources).
+	// Sources lists the first MaxExplainSources contributing answer
+	// cells in canonical order.
 	Sources []SourceRef
-	// Truncated counts contributing cells dropped beyond the cap.
+	// Truncated counts contributing cells dropped beyond the cap:
+	// Answer.Support − len(Sources).
 	Truncated int
 }
 
@@ -95,7 +97,8 @@ type SourceRef struct {
 	// Table indexes the corpus the engine's index was built over; Row
 	// and Col address the answer cell within it.
 	Table, Row, Col int
-	// Score is the evidence that row contributed to the answer.
+	// Score is the evidence that row contributed to the answer, a
+	// multiple of 1/ScoreScale.
 	Score float64
 }
 
@@ -103,7 +106,7 @@ type SourceRef struct {
 // text asc, then the unique cluster key so no two answers ever compare
 // equal (which makes pagination cursors exact).
 type rankKey struct {
-	score   float64
+	score   int64 // score units (see ScoreScale)
 	support int
 	text    string
 	key     string
@@ -123,19 +126,19 @@ func (a rankKey) before(b rankKey) bool {
 	return a.key < b.key
 }
 
-// cursorPayload is the wire form of a rankKey. Score travels as its IEEE
-// bits so the round trip is exact.
+// cursorPayload is the wire form of a rankKey. The score travels as
+// its integer units under "q"; unknown fields are rejected, so a cursor
+// from the float-score format (IEEE bits under "s") fails as invalid
+// instead of paging from a misread key.
 type cursorPayload struct {
-	S uint64 `json:"s"`
+	Q int64  `json:"q"`
 	U int    `json:"u"`
 	T string `json:"t"`
 	K string `json:"k"`
 }
 
 func encodeCursor(k rankKey) string {
-	raw, _ := json.Marshal(cursorPayload{
-		S: math.Float64bits(k.score), U: k.support, T: k.text, K: k.key,
-	})
+	raw, _ := json.Marshal(cursorPayload{Q: k.score, U: k.support, T: k.text, K: k.key})
 	return base64.RawURLEncoding.EncodeToString(raw)
 }
 
@@ -144,9 +147,14 @@ func decodeCursor(s string) (rankKey, error) {
 	if err != nil {
 		return rankKey{}, fmt.Errorf("%w: %v", ErrInvalidCursor, err)
 	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
 	var p cursorPayload
-	if err := json.Unmarshal(raw, &p); err != nil {
+	if err := dec.Decode(&p); err != nil {
 		return rankKey{}, fmt.Errorf("%w: %v", ErrInvalidCursor, err)
 	}
-	return rankKey{score: math.Float64frombits(p.S), support: p.U, text: p.T, key: p.K}, nil
+	if dec.InputOffset() != int64(len(raw)) {
+		return rankKey{}, fmt.Errorf("%w: trailing data", ErrInvalidCursor)
+	}
+	return rankKey{score: p.Q, support: p.U, text: p.T, key: p.K}, nil
 }

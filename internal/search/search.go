@@ -10,15 +10,13 @@
 // count and the cursor of the next page. Candidate retrieval runs over
 // posting lists the index materialized at build time, and page selection
 // uses a bounded min-heap so a top-k query never sorts the full answer
-// set. With WithParallelism the candidate scan fans out over contiguous
-// shards on a bounded worker pool while staying byte-identical to the
-// serial scan (parallel.go). Run / RunContext / Strings are thin
-// deprecated shims over Execute.
+// set. Scores are fixed-point sums, so the serial scan, the in-process
+// parallel scan and a sharded cluster all build per-cluster summaries
+// over ranges of the corpus and merge them into identical results
+// (parallel.go, partial.go).
 package search
 
 import (
-	"context"
-
 	"repro/internal/catalog"
 	"repro/internal/searchidx"
 )
@@ -68,7 +66,8 @@ type Answer struct {
 	// Entity is the aggregated entity ID, or None for unannotated
 	// clusters.
 	Entity catalog.EntityID
-	// Score is the aggregated evidence.
+	// Score is the aggregated evidence: the cluster's integer score
+	// units divided by ScoreScale.
 	Score float64
 	// Support counts contributing table rows.
 	Support int
@@ -84,11 +83,10 @@ type Answer struct {
 // by translating segment-local table numbers to corpus-global ones and
 // skipping tombstoned tables.
 //
-// Ordering contract (what makes segmented execution byte-identical to a
-// from-scratch rebuild): RelationPairs and TypedPairsOf must list pairs
-// in corpus order — ascending global table number, per-table annotation
-// order — because floating-point evidence sums in scan order, and
-// cursors compare scores bit-exactly across separate executions.
+// RelationPairs and TypedPairsOf list pairs in corpus order — ascending
+// global table number, per-table annotation order. Results do not
+// depend on it (scores are fixed-point sums and explanations use a
+// canonical order); it keeps parallel scan ranges table-contiguous.
 type Corpus interface {
 	// Catalog returns the catalog annotations refer to.
 	Catalog() *catalog.Catalog
@@ -130,8 +128,8 @@ type EngineOption func(*Engine)
 
 // WithParallelism sets how many worker goroutines one Execute call may
 // use to scan candidate column pairs (see parallel.go). 1 — the default
-// — is the serial scan; any level returns byte-identical results
-// (scores, rankings, cursors, explanations), so the knob is purely about
+// — is the serial scan; any level returns identical results (scores,
+// rankings, cursors, explanations), so the knob is purely about
 // latency. Values below 1 are ignored.
 func WithParallelism(n int) EngineOption {
 	return func(e *Engine) {
@@ -157,46 +155,3 @@ func NewEngineOver(c Corpus, opts ...EngineOption) *Engine {
 
 // Parallelism reports the engine's configured scan parallelism.
 func (e *Engine) Parallelism() int { return e.par }
-
-// Run answers q in the given mode, returning the full ranking (best
-// first).
-//
-// Deprecated: use Execute, which pages, explains and propagates errors.
-// Run discards execution errors: with a background context cancellation
-// is unreachable, leaving only invalid inputs (an out-of-range mode),
-// which return no answers instead of the pre-Execute behavior of
-// silently running them as Type mode.
-func (e *Engine) Run(q Query, mode Mode) []Answer {
-	res, err := e.Execute(context.Background(), Request{Query: q, Mode: mode})
-	if err != nil {
-		return nil
-	}
-	return res.Answers
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// candidate column pairs and every rowCheckInterval rows within one, so
-// long scans over large corpora — even a single huge table — abort
-// promptly. On cancellation it returns nil answers and the context's
-// error.
-//
-// Deprecated: use Execute with a Request for paging, explanations and
-// bounded top-k selection.
-func (e *Engine) RunContext(ctx context.Context, q Query, mode Mode) ([]Answer, error) {
-	res, err := e.Execute(ctx, Request{Query: q, Mode: mode})
-	if err != nil {
-		return nil, err
-	}
-	return res.Answers, nil
-}
-
-// Strings answers q and projects the ranked answer texts, the form the
-// MAP evaluation consumes.
-func (e *Engine) Strings(q Query, mode Mode) []string {
-	answers := e.Run(q, mode)
-	out := make([]string, len(answers))
-	for i, a := range answers {
-		out[i] = a.Text
-	}
-	return out
-}

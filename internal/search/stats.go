@@ -5,20 +5,20 @@
 // candidate pairs, rows, segments are the same on every run and at
 // every parallelism level, and a routed query's merged counters are the
 // exact sums of its shards' (shards own disjoint table ranges, and
-// integer addition is order-independent, so summing per-shard counters
-// carries no analogue of the float-fold hazard). The stage timings are
-// wall clock and therefore not deterministic; tests compare counters
-// and ignore timings. Nothing here may reorder a scan or a fold — the
-// byte-identical-results contract is asserted over executions that all
+// integer addition is order-independent). The stage timings are wall
+// clock and therefore not deterministic; tests compare counters and
+// ignore timings. Nothing here may change what a scan computes — the
+// identical-results contract is asserted over executions that all
 // collect stats.
 package search
 
 // StageNanos is the wall-clock nanoseconds one execution spent in each
-// pipeline stage. On a shard, Aggregate/Select/Explain are zero (those
-// stages run at the router's merge); in a merged result,
+// pipeline stage. Aggregate is the time spent merging scan-range
+// summaries (zero on a serial scan). On a shard, Select and Explain are
+// zero (those stages run at the router's merge); in a merged result,
 // Validate/Plan/Scan are the sums across shards (total cluster work,
-// not critical-path time) while Aggregate/Select/Explain are the
-// merge's own.
+// not critical-path time) while Select and Explain are the merge's own
+// and Aggregate adds the merge's time to the shards'.
 type StageNanos struct {
 	Validate  int64
 	Plan      int64
@@ -43,9 +43,8 @@ type ExecStats struct {
 	PairsMatched   int64
 	// RowsScanned is the total rows walked across all candidate pairs
 	// (a pair visiting the same physical row as another pair counts it
-	// again: this measures work done, not distinct rows). The explain
-	// pass's winners-only re-scan is excluded, so a merged result's
-	// RowsScanned is exactly the sum of its shards'.
+	// again: this measures work done, not distinct rows). A merged
+	// result's RowsScanned is exactly the sum of its shards'.
 	RowsScanned int64
 	// SegmentsVisited and TombstonesSkipped describe the corpus view
 	// the scan ran over: its live index segments and the removed tables

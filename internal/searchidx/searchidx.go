@@ -265,8 +265,8 @@ func (ix *Index) RawCell(loc CellLoc) string {
 }
 
 // HeaderMatches returns columns whose header shares a token with q, in
-// sorted-token probe order: deterministic, so evidence replay sees the
-// same sequence every run.
+// sorted-token probe order: deterministic, so every run scans the same
+// sequence.
 func (ix *Index) HeaderMatches(q string) []ColRef {
 	seen := make(map[ColRef]struct{})
 	var out []ColRef

@@ -198,6 +198,10 @@ func TestSearchErrorMapping(t *testing.T) {
 	}{
 		{"bad cursor", srv.Handler(), searchBody(t, w, map[string]any{"cursor": "!!!not-a-cursor"}),
 			http.StatusBadRequest, "invalid_cursor", ""},
+		// A float-score cursor ({"s":<IEEE bits of 3.0>,"u":2,...}) from
+		// before scores were fixed-point.
+		{"float-score cursor", srv.Handler(), searchBody(t, w, map[string]any{"cursor": "eyJzIjo0NjEzOTM3ODE4MjQxMDczMTUyLCJ1IjoyLCJ0IjoiRmlsbSAxIiwiayI6InQ6ZmlsbSAxIn0"}),
+			http.StatusBadRequest, "invalid_cursor", ""},
 		{"negative page size", srv.Handler(), searchBody(t, w, map[string]any{"page_size": -3}),
 			http.StatusBadRequest, "invalid_page_size", "page_size"},
 		{"bogus mode", srv.Handler(), searchBody(t, w, map[string]any{"mode": "psychic"}),

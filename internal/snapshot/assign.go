@@ -6,8 +6,8 @@ import "fmt"
 // half-open segment range plus the global table numbering it implies.
 // Contiguity is load-bearing — corpus order is segment order, so a
 // contiguous segment range owns a contiguous range of global table
-// numbers, and the distributed merge can replay shards in index order
-// to reproduce the single-node scan order.
+// numbers, and a shard's source table numbers become cluster-global by
+// adding one offset.
 type Assignment struct {
 	// Lo and Hi bound the manifest segments the shard owns: [Lo, Hi).
 	Lo, Hi int

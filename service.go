@@ -494,23 +494,6 @@ func corpusMutationError(err error) error {
 	return &CorpusError{Failures: fails}
 }
 
-// Index returns the monolithic search index when the live corpus is a
-// single untombstoned segment (the state right after BuildIndex or
-// loading a flat snapshot), and nil otherwise.
-//
-// Deprecated: a mutated corpus has no single index. Use CorpusStats for
-// counters and Search for queries.
-func (s *Service) Index() *SearchIndex {
-	st := s.store.Load()
-	if st == nil {
-		return nil
-	}
-	if v := st.View(); v.Segments() == 1 && v.Tombstones() == 0 {
-		return v.SegmentAt(0).Index()
-	}
-	return nil
-}
-
 // DefaultPageSize is the page size SearchAll uses when the request
 // leaves PageSize zero (a zero PageSize would make every "page" the full
 // ranking).
@@ -542,15 +525,16 @@ func (s *Service) Search(ctx context.Context, req SearchRequest) (*SearchResult,
 	return eng.Execute(ctx, req)
 }
 
-// SearchPartial executes req's candidate scan over the live corpus —
-// typically a shard's subset loaded with LoadServiceShard — and exports
-// the evidence as partial groups instead of a ranked page. tableOffset
-// shifts hit table numbers into the cluster-global numbering (a shard
-// passes its ShardAssignment.TableOffset; a single node passes 0).
-// Partials from every shard of one corpus merge through
-// MergeSearchPartials into pages byte-identical to a single-node
-// Search. The request is validated exactly as Search validates it;
-// PageSize, Cursor and Explain are ignored (merge-time concerns).
+// SearchPartial executes req over the live corpus — typically a
+// shard's subset loaded with LoadServiceShard — and exports one
+// fixed-point summary per answer cluster instead of a ranked page.
+// tableOffset shifts source table numbers into the cluster-global
+// numbering (a shard passes its ShardAssignment.TableOffset; a single
+// node passes 0). Partials from every shard of one corpus merge through
+// MergeSearchPartials into pages identical to a single-node Search. The
+// request is validated exactly as Search validates it; PageSize and
+// Cursor are ignored (merge-time concerns), and Explain makes each
+// summary carry its sources.
 //
 // The returned SearchExecStats carries the shard-local execution cost
 // (candidate pairs, rows scanned, stage timings); MergeSearchPartials
@@ -576,24 +560,6 @@ func (s *Service) engine() (*search.Engine, error) {
 		return nil, ErrNoIndex
 	}
 	return search.NewEngineOver(st.View(), search.WithParallelism(s.searchPar)), nil
-}
-
-// SearchAnswers is the PR-1 search surface: functional options select
-// the mode (default SearchTypeRel) and truncate the ranking.
-//
-// Deprecated: use Search with a SearchRequest, which adds pagination,
-// total counts, explanations and bounded top-k ranking. This shim maps
-// WithSearchMode to Request.Mode and WithLimit to Request.PageSize.
-func (s *Service) SearchAnswers(ctx context.Context, q SearchQuery, opts ...SearchOption) ([]SearchAnswer, error) {
-	so := searchOptions{mode: SearchTypeRel}
-	for _, opt := range opts {
-		opt(&so)
-	}
-	res, err := s.Search(ctx, SearchRequest{Query: q, Mode: so.mode, PageSize: so.limit})
-	if err != nil {
-		return nil, err
-	}
-	return res.Answers, nil
 }
 
 // SearchBatch answers many requests concurrently over the service's

@@ -211,14 +211,11 @@ type (
 
 // Distributed serving (shard servers + scatter-gather router).
 type (
-	// PartialGroup is one replay unit of a shard's partial search
-	// evidence (Service.SearchPartial); groups merge byte-identically to
-	// a single-node execution via MergeSearchPartials.
+	// PartialGroup is one answer cluster's fixed-point evidence summary
+	// over a shard's slice (Service.SearchPartial); summaries merge into
+	// a page identical to a single-node execution via
+	// MergeSearchPartials.
 	PartialGroup = search.PartialGroup
-	// ClusterPartial is one answer cluster's evidence within one shard.
-	ClusterPartial = search.ClusterPartial
-	// PartialHit is one matching answer cell a shard exports.
-	PartialHit = search.PartialHit
 	// TextVariant is one raw surface form of a text cluster with its
 	// occurrence count.
 	TextVariant = search.Variant

@@ -1,6 +1,7 @@
 package webtable_test
 
 import (
+	"context"
 	"testing"
 
 	webtable "repro"
@@ -87,7 +88,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	// the subject (writer) type and E2 the probe book.
 	ix := webtable.NewSearchIndex(cat, []*webtable.Table{tab}, []*webtable.Annotation{res})
 	engine := webtable.NewSearchEngine(ix)
-	answers := engine.Run(webtable.SearchQuery{
+	found, err := engine.Execute(context.Background(), webtable.SearchRequest{Mode: webtable.SearchTypeRel, Query: webtable.SearchQuery{
 		Relation:     wrote,
 		T1:           writer,
 		T2:           book,
@@ -96,8 +97,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		T1Text:       "Writer",
 		T2Text:       "Book",
 		E2Text:       "Relativity: The Special and the General Theory",
-	}, webtable.SearchTypeRel)
-	if len(answers) != 1 || answers[0].Entity != einstein {
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answers := found.Answers; len(answers) != 1 || answers[0].Entity != einstein {
 		t.Fatalf("search answers = %+v", answers)
 	}
 }
